@@ -5,8 +5,10 @@ inversion, an application of phi_alpha, gamma_alpha(c) or delta_alpha(b)
 to generators and to a product, a composition, or a commutation check.
 The rings are fixed in shape (below), each used COPIES times with the
 operator directions cycling over the variables; the seed draws the moduli,
-the series (a fixed number of terms with nonzero coefficients) and the
-operator parameters.  Half of the rings carry a transcendental (d = 1), so
+the series' nonzero coefficients (on exponents fixed per ring), the unit's
+constant, the gamma parameter's digits above the window and the delta
+twist.  What sets a task's cost is the same for every seed, so seeds move
+wall_s by little.  Half of the rings carry a transcendental (d = 1), so
 dense constant coefficients and the sparse t-symbol path both run.
 
 The rings and series objects are built in set-up; the idempotent split of
@@ -48,19 +50,21 @@ def _random_vec(rng, p, N):
             return v
 
 
-def _random_series(rng, spec, F, count, positive=False):
-    """count terms with nonzero coefficients; positive: no constant term."""
+def _random_series(shape, rng, spec, F, count, positive=False):
+    """count terms with nonzero coefficients; positive: no constant term.
+
+    The exponents come from ``shape``, the coefficients from ``rng``."""
     p, degs, ds, W, _ = spec
     box = 1  # exponents 0..box per variable, room for twice the terms
     while box < W and (box + 1) ** len(degs) * 2 ** sum(ds) < 2 * count + 2:
         box += 1
-    terms = {}
-    while len(terms) < count:
-        x = tuple(rng.randrange(box + 1) for _ in degs)
-        t = tuple(rng.randrange(2) for _ in range(sum(ds)))
+    support = set()
+    while len(support) < count:
+        x = tuple(shape.randrange(box + 1) for _ in degs)
+        t = tuple(shape.randrange(2) for _ in range(sum(ds)))
         if any(x) or not positive:
-            terms[(x, t)] = _random_vec(rng, p, F.N)
-    return terms
+            support.add((x, t))
+    return {key: _random_vec(rng, p, F.N) for key in sorted(support)}
 
 
 def _gamma_parameter(rng, p, M, W):
@@ -76,26 +80,32 @@ def generate(seed, workdir):
     rng = random.Random(f"operators-{seed}")
     rings = []
     for copy in range(COPIES):
-        for spec in RINGS:
+        for r, spec in enumerate(RINGS):
+            # what sets a task's cost is drawn from a generator of its own,
+            # the same for every seed: the series' exponents, the unit's
+            # corner, the gamma parameter mod p^(M-2) (all that acts on the
+            # window) and the commutation probes
+            shape = random.Random(f"operators-shape-{copy}-{r}")
             p, degs, ds, W, count = spec
             moduli = [ref.random_irreducible(p, n, rng) for n in degs]
             F = ref.FinitePart(p, moduli)
             nv = len(degs)
             window = (W,) * nv
-            a = _random_series(rng, spec, F, count)
-            b = _random_series(rng, spec, F, count)
+            a = _random_series(shape, rng, spec, F, count)
+            b = _random_series(shape, rng, spec, F, count)
             # a unit: s * y_j^k plus terms of positive degree, no t in the corner
             corner = F.one()
-            j = rng.randrange(nv)
+            j = shape.randrange(nv)
             gen = tuple(1 if i == math.prod(degs[j + 1:]) else 0 for i in range(F.N)) \
                 if degs[j] > 1 else F.one()
-            for _ in range(rng.randrange(3)):
+            for _ in range(shape.randrange(3)):
                 corner = F.mul(corner, gen)
             corner = F.scale(corner, rng.randrange(1, p))
             u = {((0,) * nv, (0,) * sum(ds)): corner}
-            u.update(_random_series(rng, spec, F, max(2, count // 3), positive=True))
+            u.update(_random_series(shape, rng, spec, F, max(2, count // 3), positive=True))
             M = ref.gamma_digits(p, W)
-            c = _gamma_parameter(rng, p, M, W)
+            # the top two digits of c do not act on the window
+            c = _gamma_parameter(shape, p, M - 2, W) + p ** (M - 2) * rng.randrange(p * p)
             t_owner = [i for i, d in enumerate(ds) for _ in range(d)]
             rings.append({
                 "spec": spec, "moduli": moduli, "F": F, "window": window,
@@ -105,7 +115,7 @@ def generate(seed, workdir):
                 "alpha": copy % nv, "beta": (copy + 1) % nv,
                 "c": c, "M": M, "twist": rng.randrange(1, p),
                 "t_alpha": t_owner[0] if t_owner else None,
-                "probe_seed": rng.randrange(2**32),
+                "probe_seed": shape.randrange(2**32),
             })
     return rings
 

@@ -31,7 +31,9 @@ PATTERNS = (
     (2, 4, 8),
 )
 SKIP = {(5, (2, 4, 8)), (7, (2, 4, 8))}
-COPIES = 2
+# four copies, so that p90 falls between the middle copies of one pattern
+# (p = 7, (4, 8)) whose time moves with the moduli, not on the costlier of two
+COPIES = 4
 LABELS = "abcd"
 
 
