@@ -17,7 +17,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .coeff import algebra_from_json, phi_orbit_transitivity, tensor_idempotents
+from .coeff import (
+    NotInvertibleError,
+    UndecidedError,
+    algebra_from_json,
+    phi_orbit_transitivity,
+    tensor_idempotents,
+)
 from .descent import (
     BudgetExceededError,
     FrobFixedSystem,
@@ -149,18 +155,18 @@ def cmd_check_module(cfg, args):
 
 def cmd_fixed_points(cfg, args):
     ring = _ring_from_config(cfg)
-    labels = ring.coeffs.labels
+    alg = ring.coeffs
     expect = args.expect_dim if args.expect_dim is not None else cfg.get("expect_dim")
     quotient = cfg.get("quotient")
     if quotient is not None:
-        alpha = labels.index(quotient["alpha"])
+        alpha = alg.label_index(quotient["alpha"])
         sol = solve_quotient_fixed_points(
             ring, alpha, int(quotient["r"]), t_cap=cfg.get("t_cap", 4)
         )
     else:
         operators = cfg.get("operators")
         if operators is not None:
-            operators = tuple(labels.index(a) for a in operators)
+            operators = tuple(alg.label_index(a) for a in operators)
         ambient = ring
         if "module" in cfg:
             ambient = module_from_json(ring, cfg["module"])
@@ -315,7 +321,18 @@ def main(argv=None):
     except SubwindowError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_INPUT_ERROR
-    except (KeyError, IndexError, TypeError, ValueError, PrecisionError) as exc:
+    except (
+        KeyError,
+        IndexError,
+        TypeError,
+        ValueError,
+        PrecisionError,
+        NotImplementedError,
+        NotInvertibleError,
+        UndecidedError,
+    ) as exc:
+        # configs the library refuses or cannot decide are input errors, not
+        # check failures
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return EXIT_INPUT_ERROR
     _emit(report, args.out)

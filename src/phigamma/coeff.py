@@ -9,6 +9,12 @@ contribute polynomial numerators and per-factor denominators.
 Elements of the finite part ``F`` are numpy vectors over the monomial basis
 of GF(p)[y_1,...,y_s] / (moduli); multiplication is the structure tensor
 precomputed as a linear map, so that repeated products stay cheap.
+
+The split of ``F`` happens in its Frobenius-fixed subalgebra
+``A = F^{Frob_s}``, which is GF(p)^ell for ell components and contains every
+idempotent: the primitive idempotents span the joint eigenlines of
+multiplication by a basis of ``A``, found with nullspaces of ell x ell
+matrices rather than with products in all of ``F``.
 """
 
 from __future__ import annotations
@@ -197,6 +203,14 @@ class CoefficientAlgebra:
             M = (F @ M) % self.p
         self.frob_s_matrix = M
 
+    def label_index(self, label):
+        """The position of the factor named ``label``."""
+        if label not in self.labels:
+            raise ValueError(
+                f"unknown label {label!r}; labels are {', '.join(self.labels)}"
+            )
+        return self.labels.index(label)
+
     def fd_zero(self):
         return np.zeros(self.N, dtype=np.int64)
 
@@ -265,41 +279,79 @@ class CoefficientAlgebra:
         return self._dec
 
     def _compute_idempotents(self):
-        p = self.p
-        fixed = gfp.nullspace((self.frob_s_matrix - np.eye(self.N, dtype=np.int64)) % p, p)
-        idems = [self.fd_one()]
-        for b in fixed:
+        """Primitive idempotents, component degrees and Frobenius permutations.
+
+        The idempotents span A = F^{Frob_s}, the elements fixed by the
+        absolute Frobenius, and A is GF(p)^ell as a ring (each component
+        field meets it in its prime field).  So the split happens inside A:
+        in the coordinates of A's reduced basis R_0..R_{ell-1} (an element's
+        coordinates are its entries at the pivot columns), multiplication by
+        R_i is an ell x ell matrix, and the joint eigenspaces of these
+        matrices are the lines through the primitive idempotents.  Each
+        space is refined by the eigenspaces of one matrix after another
+        (a nullspace per candidate eigenvalue in GF(p), until they fill the
+        space), stopping once there are ell lines; a line spanned by
+        a = s e satisfies a^2 = s a, which fixes the scale.  A partial
+        Frobenius is a ring automorphism mapping eF onto sigma(e)F, so one
+        rank per Frobenius orbit gives every component degree.
+        """
+        p, N = self.p, self.N
+        fixed = gfp.nullspace((self.frob_s_matrix - np.eye(N, dtype=np.int64)) % p, p)
+        R, pivots = gfp.rref(fixed, p)
+        ell = len(pivots)
+        # S[i, j, k]: coordinate k of R_i * R_j, from one batched product map
+        left = (R @ self._mul_map % p).reshape(ell, N, N)
+        S = (R @ left[:, :, pivots] % p).astype(np.int64)
+        lines = [np.eye(ell, dtype=np.int64)]  # reduced bases of the spaces
+        for Si in S:
+            if len(lines) == ell:
+                break
             refined = []
-            for e in idems:
-                be = self.fd_mul(b, e)
-                # eigenprojectors of be on the component e: for each scalar
-                # lam, e * prod_{mu != lam} (be - mu e) / (lam - mu)
-                pieces = []
+            for B in lines:
+                k = len(B)
+                # the action of R_i on the space, in the coordinates of B
+                # (read at B's pivots, the first nonzero entry of each row)
+                D = (B @ Si % p)[:, (B != 0).argmax(axis=1)]
+                if np.array_equal(D, D[0, 0] * np.eye(k, dtype=np.int64)):
+                    refined.append(B)  # R_i is a scalar here, or B is a line
+                    continue
+                found = 0
                 for lam in range(p):
-                    proj = e.copy()
-                    for mu in range(p):
-                        if mu == lam:
-                            continue
-                        factor = (be - mu * e) % p
-                        proj = self.fd_mul(proj, factor)
-                        proj = (proj * gfp._inv_mod(lam - mu, p)) % p
-                    if not self.fd_is_zero(proj):
-                        pieces.append(proj)
-                refined.extend(pieces if pieces else [e])
-            idems = refined
+                    Y = gfp.nullspace((D.T - lam * np.eye(k, dtype=np.int64)) % p, p)
+                    if len(Y):
+                        refined.append(gfp.rref(Y @ B, p)[0])
+                        found += len(Y)
+                        if found == k:
+                            break
+            lines = refined
+        idems = []
+        for (x,) in lines:
+            # a = x R = s e has a^2 = s a; x is 1 at its first nonzero entry
+            s = int((x @ (np.tensordot(x, S, axes=1) % p) % p)[(x != 0).argmax()])
+            idems.append(x * gfp._inv_mod(s, p) % p @ R % p)
         idems.sort(key=lambda v: tuple(int(c) for c in v))
-        degrees = tuple(gfp.rank(self.fd_mul_matrix(e), p) for e in idems)
+        index = {e.tobytes(): j for j, e in enumerate(idems)}
         perms = []
         for alpha in range(self.nvars):
             perm = []
             for e in idems:
-                img = self.fd_frob(e, alpha)
-                hits = [j for j, f in enumerate(idems) if np.array_equal(img % p, f % p)]
-                if len(hits) != 1:
+                j = index.get(self.fd_frob(e, alpha).tobytes())
+                if j is None:
                     raise AssertionError("frobenius image of idempotent not primitive")
-                perm.append(hits[0])
+                perm.append(j)
             perms.append(tuple(perm))
-        return IdempotentDecomposition(tuple(idems), degrees, tuple(perms))
+        degrees = [0] * ell
+        for j in range(ell):
+            if degrees[j]:
+                continue
+            degrees[j] = gfp.rank(self.fd_mul_matrix(idems[j]), p)
+            orbit = [j]
+            for k in orbit:
+                for perm in perms:
+                    if not degrees[perm[k]]:
+                        degrees[perm[k]] = degrees[j]
+                        orbit.append(perm[k])
+        return IdempotentDecomposition(tuple(idems), tuple(degrees), tuple(perms))
 
     # -- element constructors -----------------------------------------
 
@@ -840,7 +892,7 @@ def element_from_json(alg: CoefficientAlgebra, data: dict) -> CoeffElement:
             num[_mono_from_json(alg, term.get("monomial", {}))] = vec
     den = []
     for factor in data.get("denominator", []):
-        beta = alg.labels.index(factor["alpha"])
+        beta = alg.label_index(factor["alpha"])
         poly = tuple(
             sorted(
                 (_mono_from_json(alg, t.get("monomial", {})), int(t["coeff"]) % alg.p)

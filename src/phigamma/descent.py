@@ -280,9 +280,9 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
     q0 = c0.constant_fd() if c0.is_constant() else None
     if q0 is None:
         return None, "nonconstant corner coefficient"
-    r0 = _fd_eth_root(alg, q0, e)
+    r0, note = _fd_eth_root(alg, q0, e)
     if r0 is None:
-        return None, "constant term is not an e-th power"
+        return None, note
     r0inv = alg.fd_inv(r0)
     scaled = q.scale(alg.from_fdelta(alg.fd_pow(r0inv, e)))
     h = scaled - ring.one()
@@ -316,14 +316,18 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
 
 
 def _fd_eth_root(alg: CoefficientAlgebra, x, e):
-    """e-th root in the finite part by small enumeration, or None."""
+    """An e-th root in the finite part by enumeration, as ``(root, None)``.
+
+    ``(None, reason)`` when there is none, or when the p^N candidates exceed
+    2^16 and the search is not made: a capped search is no verdict.
+    """
     if alg.p**alg.N > 2**16:
-        return None
+        return None, "enumeration cap: more than 2^16 candidate constant terms"
     for combo in itertools.product(range(alg.p), repeat=alg.N):
         v = np.array(combo, dtype=np.int64)
         if np.array_equal(alg.fd_pow(v, e), x % alg.p):
-            return v
-    return None
+            return v, None
+    return None, "constant term is not an e-th power"
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +882,7 @@ def parse_character(ring: SeriesRingSpec, data: dict):
     p = alg.p
     gamma = {}
     for entry in data.get("gamma_values", []):
-        alpha = alg.labels.index(entry["alpha"])
+        alpha = alg.label_index(entry["alpha"])
         v = int(entry["value"]) % p
         if v == 0:
             raise ValueError("character values must be units")

@@ -186,9 +186,7 @@ def _resolve_alpha(ring, alpha):
     if isinstance(alpha, str):
         if alpha in ring.var_index:
             return ring.var_index[alpha]
-        if alpha in ring.coeffs.labels:
-            return ring.coeffs.labels.index(alpha)
-        raise ValueError(f"unknown factor {alpha!r}")
+        return ring.coeffs.label_index(alpha)
     return alpha
 
 

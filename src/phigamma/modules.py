@@ -647,27 +647,26 @@ def module_to_json(D: PhiGammaModule) -> dict:
 
 
 def module_from_json(ring: SeriesRingSpec, data: dict) -> PhiGammaModule:
-    labels = ring.coeffs.labels
+    alg = ring.coeffs
     r = int(data["rank"])
-    p = ring.coeffs.p
+    p = alg.p
     phi = {
-        labels.index(a): _mat_from_json(ring, m, r) for a, m in data["phi"].items()
+        alg.label_index(a): _mat_from_json(ring, m, r) for a, m in data["phi"].items()
     }
     gamma = []
     for g in data.get("gamma", []):
         M = int(g.get("digits", 8))
         gamma.append(
             (
-                labels.index(g["alpha"]),
+                alg.label_index(g["alpha"]),
                 PAdicUnitApprox(p, int(g["chi"]), M),
                 _mat_from_json(ring, g["matrix"], r),
             )
         )
     delta = []
     for g in data.get("delta", []):
-        alpha = labels.index(g["alpha"])
+        alpha = alg.label_index(g["alpha"])
         M = int(g.get("digits", 8))
-        alg = ring.coeffs
         d_alpha = sum(1 for k in range(alg.total_d) if alg.t_owner[k] == alpha)
         if "b" in g:
             b = tuple(PAdicUnitApprox(p, int(x), M) for x in g["b"])

@@ -2,7 +2,7 @@
 
 Nothing here shares code with the main arithmetic: dense boxes instead of
 sparse dicts, exhaustive root enumeration in one absolute extension field
-instead of the Berlekamp-style idempotent splitting, full enumeration
+instead of eigenspaces of the Frobenius-fixed subalgebra, full enumeration
 instead of nullspace solving.  All entry points carry hard size caps; these
 are test instruments, not tools.
 """
@@ -252,10 +252,12 @@ def crt_split(p, moduli):
     GF(p)-irreducible factors: the roots of a factor of degree n are the zeros
     among all p^n elements of the subfield ker(Frob^n - 1).  The algebra maps
     to A exactly by the tuples of roots, and its components are the Frobenius
-    orbits on those tuples, each of degree its orbit length.  The primitive
-    idempotents are expressed in the monomial basis by solving the stacked
-    evaluation system at one tuple per orbit.  Completely independent of the
-    structure-tensor path.
+    orbits on those tuples, each of degree its orbit length; the partial
+    Frobenius of factor a permutes them through the a-th root of each tuple
+    (``frobenius_permutations[a][j]`` is the index of sigma_a(e_j)).  The
+    primitive idempotents are expressed in the monomial basis by solving the
+    stacked evaluation system at one tuple per orbit.  Completely independent
+    of the structure-tensor path.
 
     Caps: at most 256 basis monomials, at most 2^16 candidate roots per
     irreducible factor, and L at most 256 (the L x L matrices of A and the
@@ -286,16 +288,16 @@ def crt_split(p, moduli):
     # components: Frobenius orbits on root tuples, one representative each;
     # root-index tuples range over the same box as the monomial exponents
     basis = list(itertools.product(*(range(d) for d in degrees)))
-    reps, comp_degrees, seen = [], [], set()
+    reps, comp_degrees, comp_of = [], [], {}
     for t in basis:
-        if t in seen:
+        if t in comp_of:
             continue
         orbit = [t]
         nxt = tuple(perm[j] for perm, j in zip(perms, t))
         while nxt != t:
             orbit.append(nxt)
             nxt = tuple(perm[j] for perm, j in zip(perms, nxt))
-        seen.update(orbit)
+        comp_of.update((u, len(reps)) for u in orbit)
         reps.append(t)
         comp_degrees.append(len(orbit))
     # evaluation system: monomial basis -> stacked prime coordinates in A
@@ -318,9 +320,20 @@ def crt_split(p, moduli):
         raise AssertionError("evaluation matrix singular; components not coprime")
     idems = [red[:N, N + j] for j in range(len(reps))]
     order = sorted(range(len(reps)), key=lambda j: tuple(int(c) for c in idems[j]))
+    position = {j: k for k, j in enumerate(order)}
+    # sigma_a(x)(t) = x(t with its a-th root raised to the p-th power), so
+    # when raising maps orbit k into orbit j, sigma_a(e_j) = e_k
+    frob_perms = []
+    for a in range(len(moduli)):
+        perm = [0] * len(reps)
+        for k, j in enumerate(order):
+            t = reps[j]
+            perm[position[comp_of[t[:a] + (perms[a][t[a]],) + t[a + 1 :]]]] = k
+        frob_perms.append(tuple(perm))
     return {
         "component_degrees": tuple(comp_degrees[j] for j in order),
         "idempotents": [idems[j] for j in order],
+        "frobenius_permutations": tuple(frob_perms),
         "basis": basis,
     }
 

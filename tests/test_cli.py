@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -144,3 +145,26 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["ell"] == 2
+
+
+def test_non_monomial_phi_scalar_is_input_error(tmp_path, capsys):
+    # the slot solver refuses phi = 1 + X_a with NotImplementedError
+    cfg = json.loads((DATA / "module_trivial_p2.json").read_text())
+    terms = cfg["module"]["phi"]["a"][0]["terms"]
+    terms.append(dict(copy.deepcopy(terms[0]), exps={"X_a": 1}))
+    cfg.update(window=8, subwindow=4)
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(cfg))
+    code, rep = run(capsys, "fixed-points", "--config", str(path))
+    assert code == 2
+    assert rep["error"].startswith("NotImplementedError: ")
+
+
+def test_unknown_label_is_input_error(tmp_path, capsys):
+    cfg = json.loads((DATA / "fixed_points_p2_n22.json").read_text())
+    cfg["operators"] = ["z"]
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(cfg))
+    code, rep = run(capsys, "fixed-points", "--config", str(path))
+    assert code == 2
+    assert rep["error"] == "ValueError: unknown label 'z'; labels are a, b"

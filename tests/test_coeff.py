@@ -14,6 +14,8 @@ from phigamma import (
     phi_orbit_transitivity,
     tensor_idempotents,
 )
+from phigamma import gfp
+from phigamma.fields import PrimeField, find_irreducible
 from phigamma.oracles import crt_split
 
 
@@ -41,16 +43,87 @@ def test_idempotent_count_and_transitivity(p, degs, ell):
     assert len(orbits) == 1
 
 
-@pytest.mark.parametrize("p,degs", [(2, [2, 2]), (3, [2, 3]), (2, [2, 3, 2]), (5, [4, 2])])
+def _seeded_alg(p, degs, seed):
+    """The default moduli for seed None, else irreducibles drawn from seed."""
+    if seed is None:
+        return alg_for(p, degs)
+    rng = random.Random(seed)
+    return CoefficientAlgebra(
+        p, [{"n": n, "modulus": find_irreducible(PrimeField(p), n, rng)} for n in degs]
+    )
+
+
+@pytest.mark.parametrize(
+    "p,degs",
+    [
+        (2, [2, 2]), (3, [2, 3]), (2, [2, 3, 2]), (5, [4, 2]),
+        (7, [1, 1, 1]), (7, [2, 3]),  # one component
+        (2, [4, 4, 4]), (3, [4, 4, 4]), (5, [4, 4, 4]),  # sixteen components
+    ],
+)
 def test_idempotents_match_oracle(p, degs):
-    alg = alg_for(p, degs)
+    for seed in (None, 1):
+        alg = _seeded_alg(p, degs, seed)
+        dec = tensor_idempotents(alg)
+        oracle = crt_split(p, [list(s.base.modulus) for s in alg.factors])
+        assert dec.component_degrees == tuple(oracle["component_degrees"])
+        assert dec.frobenius_permutations == oracle["frobenius_permutations"]
+        assert len(oracle["idempotents"]) == dec.ell
+        for mine, theirs in zip(dec.idempotents, oracle["idempotents"]):
+            assert mine.dtype == np.int64
+            assert np.array_equal(mine, np.asarray(theirs) % p)
+
+
+def _schoolbook_frob(alg, x, alpha):
+    """The partial Frobenius y_alpha -> y_alpha^p, by univariate reduction."""
+    p, degs = alg.p, alg.degrees
+    n, mod = degs[alpha], alg.factors[alpha].base.modulus
+    power = [1] + [0] * (n - 1)  # y^(p k) mod the modulus, for k = 0, 1, ...
+    images = []
+    for _ in range(n):
+        images.append(list(power))
+        for _ in range(p):  # multiply by y and reduce
+            top = power[-1]
+            power = [0] + power[:-1]
+            power = [(c - top * m) % p for c, m in zip(power, mod)]
+    out = np.zeros(alg.N, dtype=np.int64)
+    for e in itertools.product(*(range(d) for d in degs)):
+        c = int(x[np.ravel_multi_index(e, degs)])
+        for j, a in enumerate(images[e[alpha]]):
+            idx = np.ravel_multi_index(e[:alpha] + (j,) + e[alpha + 1 :], degs)
+            out[idx] = (out[idx] + c * a) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_idempotents_248_beyond_oracle_caps(p):
+    # crt_split refuses these (p^8 > 2^16 candidate roots); the split is
+    # checked with products and Frobenius images computed by nested loops.
+    # F is GF(p^8)^8, so 8 nonzero orthogonal idempotents summing to 1 are
+    # necessarily its primitive ones.
+    alg = _seeded_alg(p, [2, 4, 8], 3)
     dec = tensor_idempotents(alg)
-    moduli = [list(s.base.modulus) for s in alg.factors]
-    oracle = crt_split(p, moduli)
-    assert tuple(oracle["component_degrees"]) == tuple(dec.component_degrees)
-    assert len(oracle["idempotents"]) == dec.ell
-    for mine, theirs in zip(dec.idempotents, oracle["idempotents"]):
-        assert np.array_equal(np.asarray(mine) % p, np.asarray(theirs) % p)
+    assert dec.ell == 8 and dec.component_degrees == (8,) * 8
+    es = dec.idempotents
+    assert not np.any(sum(es) % p - alg.fd_one())
+    for i, e in enumerate(es):
+        assert np.any(e)
+        assert np.array_equal(_schoolbook_mul(alg, e, e), e)
+        for f in es[i + 1 :]:
+            assert not np.any(_schoolbook_mul(alg, e, f))
+        for alpha, perm in enumerate(dec.frobenius_permutations):
+            assert np.array_equal(_schoolbook_frob(alg, e, alpha), es[perm[i]])
+    keys = [tuple(e.tolist()) for e in es]
+    assert keys == sorted(keys)
+
+
+def test_degrees_per_orbit_match_rank_per_idempotent():
+    alg = _seeded_alg(3, [2, 2, 4], 4)
+    dec = tensor_idempotents(alg)
+    assert dec.ell == 4
+    assert dec.component_degrees == tuple(
+        gfp.rank(alg.fd_mul_matrix(e), 3) for e in dec.idempotents
+    )
 
 
 def test_idempotents_orthogonal_and_complete():
@@ -179,3 +252,14 @@ def test_ring_and_series_spec_helpers():
     ring = ring_for(2, [2, 2], prec=6)
     assert ring.coeffs.N == 4
     assert ring.precision == (6, 6)
+
+
+def test_label_index():
+    alg = alg_for(2, [2, 2])
+    assert alg.label_index("b") == 1
+    with pytest.raises(ValueError, match="^unknown label 'z'; labels are a, b$"):
+        alg.label_index("z")
+    data = element_to_json(alg.one())
+    data["denominator"] = [{"alpha": "z", "poly": [{"coeff": 1, "monomial": {}}]}]
+    with pytest.raises(ValueError, match="^unknown label 'z'"):
+        element_from_json(alg, data)

@@ -182,6 +182,19 @@ def test_kummer_continuation_satisfies_relation(p, e, mk):
     )
 
 
+@pytest.mark.parametrize("degs", [(1, 1), (2, 2), (3, 3)])
+def test_kummer_root_enumeration_cap_is_not_a_verdict(degs):
+    # the constant term 1 is an e-th power; at degrees (3, 3) the p^N = 5^9
+    # candidate roots exceed the enumeration cap, which must read as a cap
+    ring = ring_for(5, list(degs), prec=6)
+    ext = build_kummer(ring, ring.one() + ring.var(1), 2, alpha=0)
+    for note in ext.phi_notes.values():
+        if degs == (3, 3):
+            assert note.startswith("frobenius continuation unavailable: enumeration cap")
+        else:
+            assert note == "ok"
+
+
 def test_kummer_cross_variable_continuation():
     ring = ring_for(3, [1, 1], prec=9)
     ext = build_kummer(ring, ring.var(0), 2, alpha=0)
