@@ -21,12 +21,8 @@ from .coeff import (
     UndecidedError,
     algebra_from_json,
     algebra_to_json,
-    coeff_add,
-    coeff_is_unit,
-    coeff_mul,
     element_from_json,
     element_to_json,
-    frobenius_alpha,
     phi_orbit_transitivity,
     tensor_idempotents,
 )

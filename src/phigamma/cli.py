@@ -14,7 +14,8 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from . import __version__
 from .coeff import (
@@ -35,16 +36,14 @@ from .descent import (
 from .endos import parse_word
 from .modules import (
     Lattice,
-    PhiGammaModule,
     check_etale,
     check_relations,
     dplusplus_certified_lattice,
     in_dplus,
     in_dplusplus,
+    mat_identity,
     module_from_json,
 )
-import numpy as np
-
 from .series import (
     LaurentElement,
     PrecisionError,
@@ -80,16 +79,10 @@ def _ring_from_config(cfg) -> SeriesRingSpec:
     return SeriesRingSpec(alg, cfg.get("precision", 8))
 
 
-def _run_named_checks(named, jobs):
-    """Run (name, callable) pairs, optionally concurrently; results are
-    merged in stable name order regardless of completion order."""
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(fn) for name, fn in named}
-            results = {name: f.result() for name, f in futures.items()}
-    else:
-        results = {name: fn() for name, fn in named}
-    return [{"name": name, **results[name]} for name, _ in sorted(named)]
+def _run_named_checks(named):
+    """Run (name, callable) pairs; the results are listed in name order."""
+    results = {name: fn() for name, fn in named}
+    return [{"name": name, **results[name]} for name in sorted(results)]
 
 
 def _emit(report, out_path):
@@ -146,7 +139,7 @@ def cmd_check_module(cfg, args):
         ("etale", lambda: check_etale(D)),
         ("relations", lambda: check_relations(D)),
     ]
-    results = _run_named_checks(named, args.jobs)
+    results = _run_named_checks(named)
     ok = all(r["pass"] for r in results)
     report = _base_report(cfg, args.seed)
     report.update({"checks": results, "pass": ok})
@@ -207,7 +200,7 @@ def _serialize_solution(v):
 def cmd_dplusplus(cfg, args):
     ring = _ring_from_config(cfg)
     D = module_from_json(ring, cfg["module"])
-    M = _identity_lattice(D)
+    M = Lattice(D, mat_identity(ring, D.rank))
     cert = dplusplus_certified_lattice(D, M)
     elements = [_parse_vector(ring, D, e) for e in cfg.get("elements", [])]
     named = []
@@ -218,7 +211,7 @@ def cmd_dplusplus(cfg, args):
                 "dplus": in_dplus(D, M, x),
             })
         )
-    results = _run_named_checks(named, args.jobs)
+    results = _run_named_checks(named)
     report = _base_report(cfg, args.seed)
     report.update(
         {
@@ -231,15 +224,6 @@ def cmd_dplusplus(cfg, args):
     )
     code = EXIT_PASS if cert["contained"] else EXIT_CHECK_FAILURE
     return report, code
-
-
-def _identity_lattice(D: PhiGammaModule):
-    ring = D.ring
-    gens = [
-        [ring.one() if i == j else ring.zero() for i in range(D.rank)]
-        for j in range(D.rank)
-    ]
-    return Lattice(D, gens)
 
 
 def _parse_vector(ring, D, data):
@@ -299,7 +283,6 @@ def build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", help="write the JSON report to this path")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--expect-dim", type=int, dest="expect_dim")
     return parser

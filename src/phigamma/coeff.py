@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gfp
-from .fields import PrimeField, find_irreducible, is_irreducible, is_prime
+from .fields import find_irreducible, is_irreducible, is_prime, power
 
 DEFAULT_LABELS = "abcdefgh"
 
@@ -57,14 +58,14 @@ class FiniteFieldSpec:
         object.__setattr__(self, "modulus", mod)
         if len(mod) != self.n + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
-        if not is_irreducible(PrimeField(self.p), mod):
+        if not is_irreducible(self.p, mod):
             raise ValueError("modulus is reducible over GF(p)")
 
     @classmethod
     @functools.lru_cache(maxsize=None)
     def default(cls, p: int, n: int):
         # deterministic seed and a frozen result, so one search per (p, n)
-        mod = find_irreducible(PrimeField(p), n, random.Random(10_000 * p + n))
+        mod = find_irreducible(p, n, random.Random(10_000 * p + n))
         return cls(p, n, mod)
 
 
@@ -100,25 +101,18 @@ class CoefficientAlgebra:
         specs = []
         seen_symbols = set()
         for i, f in enumerate(factors):
-            if isinstance(f, ResidueFieldSpec):
-                spec = f
-            else:
-                n = f.get("n", 1)
-                mod = f.get("modulus")
-                base = (
-                    FiniteFieldSpec(p, n, tuple(mod))
-                    if mod
-                    else FiniteFieldSpec.default(p, n)
-                )
-                label = f.get("label") or DEFAULT_LABELS[i]
-                ts = f.get("transcendentals")
-                if ts is None:
-                    ts = tuple(f"t_{label}_{k + 1}" for k in range(f.get("d", 0)))
-                spec = ResidueFieldSpec(base, tuple(ts), label)
-            if not spec.label:
-                spec = ResidueFieldSpec(spec.base, spec.transcendentals, DEFAULT_LABELS[i])
-            if spec.base.p != p:
-                raise ValueError("all factors must share the same p")
+            n = f.get("n", 1)
+            mod = f.get("modulus")
+            base = (
+                FiniteFieldSpec(p, n, tuple(mod))
+                if mod
+                else FiniteFieldSpec.default(p, n)
+            )
+            label = f.get("label") or DEFAULT_LABELS[i]
+            ts = f.get("transcendentals")
+            if ts is None:
+                ts = tuple(f"t_{label}_{k + 1}" for k in range(f.get("d", 0)))
+            spec = ResidueFieldSpec(base, tuple(ts), label)
             for s in spec.transcendentals:
                 if s in seen_symbols:
                     raise ValueError(f"transcendental symbol {s} reused across factors")
@@ -256,14 +250,7 @@ class CoefficientAlgebra:
         return (self.frob_matrices[alpha] @ x) % self.p
 
     def fd_pow(self, x, n: int):
-        out = self.fd_one()
-        acc = x
-        while n:
-            if n & 1:
-                out = self.fd_mul(out, acc)
-            acc = self.fd_mul(acc, acc)
-            n >>= 1
-        return out
+        return power(x, n, self.fd_one(), self.fd_mul)
 
     def fd_is_zero(self, x):
         return not np.any(x % self.p)
@@ -413,10 +400,6 @@ class CoefficientAlgebra:
         return " (x) ".join(parts)
 
 
-def _num_is_zero(num):
-    return not num
-
-
 def _num_add(alg, a, b):
     out = dict(a)
     for mono, vec in b.items():
@@ -489,10 +472,6 @@ def _den_factor_frob(alg, factor, alpha):
     return (beta, new_poly)
 
 
-def _den_key(factor):
-    return factor
-
-
 class CoeffElement:
     """An element ``numerator / prod(denominator factors)`` of the tensor ring.
 
@@ -507,12 +486,12 @@ class CoeffElement:
     def __init__(self, alg, num, den):
         self.alg = alg
         self.num = num
-        self.den = tuple(sorted(den, key=_den_key))
+        self.den = tuple(sorted(den))
 
     # -- basics --------------------------------------------------------
 
     def is_zero(self):
-        return _num_is_zero(self.num)
+        return not self.num
 
     def _den_as_num(self, den=None):
         alg = self.alg
@@ -537,7 +516,7 @@ class CoeffElement:
         )
         num = _num_add(alg, a, b)
         den = tuple(common) + tuple(extra_other) + tuple(extra_self)
-        if _num_is_zero(num):
+        if not num:
             return alg.zero()
         return CoeffElement(alg, num, den)
 
@@ -551,7 +530,7 @@ class CoeffElement:
         other = self._coerce(other)
         alg = self.alg
         num = _num_mul(alg, self.num, other.num)
-        if _num_is_zero(num):
+        if not num:
             return alg.zero()
         return CoeffElement(alg, num, self.den + other.den)
 
@@ -561,14 +540,7 @@ class CoeffElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        out = self.alg.one()
-        acc = self
-        while n:
-            if n & 1:
-                out = out * acc
-            acc = acc * acc
-            n >>= 1
-        return out
+        return power(self, n, self.alg.one(), operator.mul)
 
     def _coerce(self, other):
         if isinstance(other, CoeffElement):
@@ -588,7 +560,7 @@ class CoeffElement:
         else:
             a = _num_mul(self.alg, self.num, other._den_as_num())
             b = _num_mul(self.alg, other.num, self._den_as_num())
-        return _num_is_zero(_num_add(self.alg, a, _num_neg(self.alg, b)))
+        return not _num_add(self.alg, a, _num_neg(self.alg, b))
 
     def __hash__(self):
         raise TypeError("CoeffElement is not hashable")
@@ -639,7 +611,7 @@ class CoeffElement:
         dec = alg.idempotent_decomposition()
         if dec.ell > 1:
             for j in range(dec.ell):
-                if _num_is_zero(_num_scale_fd(alg, self.num, dec.idempotents[j])):
+                if not _num_scale_fd(alg, self.num, dec.idempotents[j]):
                     return "zero_divisor_or_zero", None
         # pull out the monomial gcd:  num = t^mu * g
         monos = list(self.num)
@@ -676,7 +648,7 @@ class CoeffElement:
         if h is None:
             h = {alg._zero_mono(): alg.fd_one()}
         norm = _num_mul(alg, g, h)
-        if _num_is_zero(norm):
+        if not norm:
             return "zero_divisor_or_zero", None
         poly = []
         for m, vec in norm.items():
@@ -763,35 +735,10 @@ def _multiset_difference(a, b):
 
 
 # ---------------------------------------------------------------------------
-# spec-facing operation names
+# splitting
 
 
-def coeff_add(a: CoeffElement, b: CoeffElement) -> CoeffElement:
-    _require_same_algebra(a, b)
-    return a + b
-
-
-def coeff_mul(a: CoeffElement, b: CoeffElement) -> CoeffElement:
-    _require_same_algebra(a, b)
-    return a * b
-
-
-def coeff_is_unit(a: CoeffElement) -> str:
-    return a.unit_verdict()
-
-
-def frobenius_alpha(a: CoeffElement, alpha: int) -> CoeffElement:
-    return a.frobenius(alpha)
-
-
-def tensor_idempotents(algebra_or_specs) -> IdempotentDecomposition:
-    if isinstance(algebra_or_specs, CoefficientAlgebra):
-        return algebra_or_specs.idempotent_decomposition()
-    specs = list(algebra_or_specs)
-    p = specs[0].p
-    alg = CoefficientAlgebra(
-        p, [ResidueFieldSpec(s, (), DEFAULT_LABELS[i]) for i, s in enumerate(specs)]
-    )
+def tensor_idempotents(alg: CoefficientAlgebra) -> IdempotentDecomposition:
     return alg.idempotent_decomposition()
 
 
@@ -821,11 +768,6 @@ def phi_orbit_transitivity(dec: IdempotentDecomposition):
                         frontier.append(k)
         orbits.append(tuple(sorted(orbit)))
     return orbits, len(orbits) == 1
-
-
-def _require_same_algebra(a, b):
-    if not a.alg.same_as(b.alg):
-        raise ValueError("elements live in different coefficient algebras")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,14 @@ import numpy as np
 from . import gfp
 from .coeff import CoefficientAlgebra, CoeffElement, NotInvertibleError
 from .endos import make_phi
+from .fields import multiplicative_order, power
 from .modules import PhiGammaModule, rank_one_from_units
 from .series import (
     LaurentElement,
     PAdicUnitApprox,
     SeriesRingSpec,
+    _lucas_binomial,
+    digits_for_window,
 )
 
 
@@ -256,12 +259,7 @@ def build_kummer(base: SeriesRingSpec, a: LaurentElement, e: int, alpha=0):
 def _primitive_root_power(p, e):
     """An element of order exactly e in F_p^*."""
     for g in range(2, p):
-        order = 1
-        x = g
-        while x != 1:
-            x = x * g % p
-            order += 1
-        if order == p - 1:
+        if multiplicative_order(g, p) == p - 1:
             return pow(g, (p - 1) // e, p)
     return 1  # p = 2, e = 1
 
@@ -290,18 +288,12 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
         return None, "principal part not congruent to 1"
     # (1+h)^(1/e) via the p-adic binomial series; 1/e in Z_p has an integer
     # representative mod p^M, and Lucas digits make the truncation exact
-    M = 1
-    N = max(ring.precision)
-    while p**M <= N:
-        M += 1
-    M += 1
+    M = digits_for_window(p, max(ring.precision)) + 1
     c = PAdicUnitApprox(p, pow(e, -1, p**M), M)
     digits = c.digits()
     w = ring.one()
     hk = ring.one()
     bound = sum(w_ for w_ in ring.precision)
-    from .series import _lucas_binomial
-
     for k in range(1, bound + 1):
         hk = hk * h
         if not hk.support:
@@ -394,14 +386,7 @@ class ExtensionTower:
         return self._clean(out)
 
     def pow(self, a, n):
-        out = self.one()
-        acc = a
-        while n:
-            if n & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return out
+        return power(a, n, self.one(), self.mul)
 
     def apply_phi(self, alpha, a):
         """The Frobenius phi_alpha extended to the tower."""
@@ -570,7 +555,6 @@ def _build_slot_ops(sys: FrobFixedSystem):
     alg = ring.coeffs
     p = alg.p
     rank = sys.module.rank if sys.module else 1
-    nlayers = len(sys.tower.layers) if sys.tower else 0
     ops = []
     for alpha in sys.operators:
         mults = (
@@ -626,10 +610,10 @@ def _build_slot_ops(sys: FrobFixedSystem):
             return (coord, tuple(new_tpow), new_xexp, new_tmono), M
 
         ops.append((alpha, op))
-    return ops, rank, nlayers
+    return ops, rank
 
 
-def _enumerate_slots(sys: FrobFixedSystem, rank, nlayers):
+def _enumerate_slots(sys: FrobFixedSystem, rank):
     ring = sys.ring
     alg = ring.coeffs
     xranges = []
@@ -672,8 +656,8 @@ def solve_fixed_points(sys: FrobFixedSystem):
     ring = sys.ring
     alg = ring.coeffs
     p = alg.p
-    ops, rank, nlayers = _build_slot_ops(sys)
-    slots = _enumerate_slots(sys, rank, nlayers)
+    ops, rank = _build_slot_ops(sys)
+    slots = _enumerate_slots(sys, rank)
     slotset = set(slots)
 
     # validate that every image stays inside the certified window
@@ -860,10 +844,7 @@ def canonical_chi(ring: SeriesRingSpec, extra_digits=2):
     mod p, with enough digits for the ring's precision."""
     p = ring.coeffs.p
     g = _primitive_root_power(p, p - 1) if p > 2 else 3
-    M = 1
-    while p**M <= max(ring.precision):
-        M += 1
-    M += extra_digits
+    M = digits_for_window(p, max(ring.precision)) + extra_digits
     if p == 2:
         return PAdicUnitApprox(2, 3, M)
     return PAdicUnitApprox(p, g, M)
@@ -886,11 +867,7 @@ def parse_character(ring: SeriesRingSpec, data: dict):
         v = int(entry["value"]) % p
         if v == 0:
             raise ValueError("character values must be units")
-        order = 1
-        x = v
-        while x != 1:
-            x = x * v % p
-            order += 1
+        order = multiplicative_order(v, p)
         declared = int(entry.get("chi_order", order))
         if pow(v, declared, p) != 1:
             raise ValueError("declared order inconsistent with the value")

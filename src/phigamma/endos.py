@@ -22,16 +22,13 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
 from .coeff import CoeffElement, UndecidedError
 from .series import (
-    INF,
     LaurentElement,
     PAdicUnitApprox,
-    PrecisionError,
     SeriesRingSpec,
     binomial_power,
+    digits_for_window,
 )
 
 
@@ -42,8 +39,11 @@ class RingEndo:
         self.frob_exps = tuple(frob_exps)
         self.twists = dict(twists or {})  # (alpha, local index) -> LaurentElement
         for alpha, img in enumerate(self.var_images):
-            v = img.val(alpha)
-            if v < 1:
+            # an image with no term on its window has valuation above the
+            # window, which is all this check needs: val() would ask for the
+            # exact valuation and raise
+            low = img.val(alpha) < 1 if img.support else img.window[alpha] < 0
+            if low:
                 raise ValueError(
                     f"image of {ring.variables[alpha]} must have valuation >= 1"
                 )
@@ -154,15 +154,6 @@ class RingEndo:
             twists[(alpha, k)] = u
         return RingEndo(ring, var_images, frob_exps, twists)
 
-    def is_identity(self):
-        ring = self.ring
-        for alpha, img in enumerate(self.var_images):
-            if not img.eq_window(ring.var(alpha)):
-                return False
-        if any(self.frob_exps):
-            return False
-        return all(u.eq_window(ring.one()) for u in self.twists.values())
-
     def __repr__(self):
         return (
             f"RingEndo(frob_exps={self.frob_exps}, "
@@ -238,21 +229,13 @@ def make_delta(ring: SeriesRingSpec, alpha, b) -> RingEndo:
     twists = {}
     for bi, k in zip(b, locals_):
         if isinstance(bi, int):
-            bi = PAdicUnitApprox(alg.p, bi, _default_digits(ring, alpha))
+            M = digits_for_window(alg.p, ring.precision[alpha])
+            bi = PAdicUnitApprox(alg.p, bi, M)
         if bi.residue == 0:
             continue
         twists[(alpha, k)] = ring.one() + binomial_power(ring, alpha, bi)
     images = tuple(ring.var(i) for i in range(ring.nvars))
     return RingEndo(ring, images, (0,) * ring.nvars, twists)
-
-
-def _default_digits(ring, alpha):
-    p = ring.coeffs.p
-    N = ring.precision[alpha]
-    M = 1
-    while p**M <= N:
-        M += 1
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +308,8 @@ def _factor_endo(ring, f):
 
 _HEAD_RE = re.compile(r"\s*(phi|gamma|delta)\s*\(\s*([A-Za-z_][A-Za-z_0-9]*)\s*")
 _EXP_RE = re.compile(r"\s*(?:\^\s*(-?\d+))?\s*")
-_NUM_RE = re.compile(r"^[0-9p+\-*() ]+$")
+_TOKEN_RE = re.compile(r"\s*(\d+|p|\*\*|[-+*^()])")
+MAX_EXPR_LEN = 100  # characters in one numeric parameter
 
 
 def _match_factor(text, pos):
@@ -358,10 +342,79 @@ def _match_factor(text, pos):
 
 
 def _eval_padic_expr(expr: str, p: int, M: int) -> PAdicUnitApprox:
+    """An integer expression in the symbol ``p``, reduced mod p^M.
+
+    The grammar has digits, ``p``, ``+`` and ``-`` (binary or unary), ``*``,
+    parentheses, and ``^`` with a literal exponent; an exponent takes no
+    further ``^``.  Every step is reduced mod p^M, which gives the residue
+    of the exact value.
+    """
     expr = expr.strip()
-    if not _NUM_RE.match(expr):
-        raise ValueError(f"bad numeric expression {expr!r}")
-    value = eval(expr, {"__builtins__": {}}, {"p": p})  # digits/p/ops only
+    if len(expr) > MAX_EXPR_LEN:
+        raise ValueError(f"numeric expression longer than {MAX_EXPR_LEN} characters")
+
+    def bad(why=""):
+        return ValueError(f"bad numeric expression {expr!r}{why}")
+
+    tokens, pos = [], 0
+    while pos < len(expr):
+        m = _TOKEN_RE.match(expr, pos)
+        if not m:
+            raise bad()
+        if m.group(1) == "**":
+            raise bad(": powers are written '^'")
+        tokens.append(m.group(1))
+        pos = m.end()
+    tokens.append("")  # end marker
+    mod = p**M
+    at = 0
+
+    def take():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def expression():
+        v = product()
+        while tokens[at] in ("+", "-"):
+            v = v + product() if take() == "+" else v - product()
+        return v % mod
+
+    def product():
+        v = signed()
+        while tokens[at] == "*":
+            take()
+            v = v * signed() % mod
+        return v
+
+    def signed():
+        if tokens[at] in ("+", "-"):
+            return signed() if take() == "+" else -signed()
+        v = atom()
+        if tokens[at] == "^":
+            take()
+            k = take()
+            if not k.isdigit():
+                raise bad(": '^' takes a literal exponent")
+            if tokens[at] == "^":
+                raise bad(": no exponent towers")
+            v = pow(v, int(k), mod)
+        return v
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            v = expression()
+            if take() != ")":
+                raise bad(": unbalanced parentheses")
+            return v
+        if tok == "p" or tok.isdigit():
+            return (p if tok == "p" else int(tok)) % mod
+        raise bad()
+
+    value = expression()
+    if tokens[at]:
+        raise bad()
     return PAdicUnitApprox(p, value, M)
 
 
@@ -380,7 +433,7 @@ def parse_word(text: str, ring: SeriesRingSpec) -> OperatorWord:
         kind, label, args, exp, end = m
         alpha = _resolve_alpha(ring, label)
         k = int(exp) if exp else 1
-        M = _default_digits(ring, alpha) + 2
+        M = digits_for_window(p, ring.precision[alpha]) + 2
         if kind == "phi":
             if args is not None:
                 raise ValueError("phi takes no parameters")

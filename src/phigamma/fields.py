@@ -1,14 +1,15 @@
-"""Small finite fields and univariate polynomial arithmetic over them.
+"""Arithmetic over the prime field GF(p): univariate polynomials, their
+irreducibility and factorization, and the square-and-multiply and
+multiplicative-order helpers the other modules share.
 
-Fields are either the prime field GF(p) or an extension of another field by
-an irreducible polynomial; extensions may be nested (towers).  The library
-uses the search and test for irreducible moduli, and the CRT-splitting
-oracle factors its moduli over GF(p) here and takes the prime-power-degree
-irreducibles behind its root field from the same search.  All of this is desk scale:
-degrees of a handful, dense tuple-based polynomials.
+The library tests and picks its irreducible moduli here, and the
+CRT-splitting oracle factors its moduli over GF(p) here and takes the
+prime-power-degree irreducibles behind its root field from the same search.
+All of this is desk scale: degrees of a handful, dense tuple-based
+polynomials.
 
-Polynomials over a field ``F`` are tuples of ``F``-elements, low degree
-first, with no trailing zeros (the zero polynomial is the empty tuple).
+A polynomial is a tuple of ints in [0, p), low degree first, with no
+trailing zeros (the zero polynomial is the empty tuple).
 """
 
 from __future__ import annotations
@@ -27,349 +28,156 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """GF(p) with elements represented as plain ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        self.p = p
-        self.char = p
-        self.degree = 1  # absolute degree over GF(p)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.inv(self.pow(a, -n))
-        return pow(a, n, self.p)
-
-    def random(self, rng: random.Random):
-        return rng.randrange(self.p)
-
-    def elements(self):
-        return list(range(self.p))
-
-    def to_prime_coords(self, a):
-        return [a % self.p]
-
-    def from_prime_coords(self, coords):
-        return coords[0] % self.p
-
-    def __repr__(self):
-        return f"GF({self.p})"
+def power(x, n: int, one, mul):
+    """x^n for n >= 0 by square-and-multiply: ``one`` is the unit and
+    ``mul`` the product of whatever ring x lives in."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
-class ExtField:
-    """``base[x]/(modulus)`` for an irreducible monic modulus over ``base``.
-
-    Elements are tuples of base elements of length ``deg(modulus)``
-    (coefficients of the residue class, low degree first).
-    """
-
-    def __init__(self, base, modulus, check: bool = True):
-        self.base = base
-        self.p = base.p
-        self.char = base.p
-        mod = poly_normalize(base, tuple(modulus))
-        if len(mod) < 2:
-            raise ValueError("modulus must have degree >= 1")
-        if not base.eq(mod[-1], base.one()):
-            raise ValueError("modulus must be monic")
-        if check and not is_irreducible(base, mod):
-            raise ValueError("modulus is reducible")
-        self.modulus = mod
-        self.n = len(mod) - 1
-        self.degree = base.degree * self.n
-        # reduction table: row k is x^{n+k} mod modulus, so products reduce
-        # by table lookup instead of polynomial division
-        rows = []
-        cur = tuple(base.neg(c) for c in mod[:-1])
-        for _ in range(self.n - 1):
-            rows.append(cur)
-            top = cur[-1]
-            shifted = (base.zero(),) + cur[:-1]
-            cur = tuple(
-                base.add(s, base.mul(top, r)) for s, r in zip(shifted, rows[0])
-            )
-        self._red_rows = rows
-
-    def zero(self):
-        return tuple(self.base.zero() for _ in range(self.n))
-
-    def one(self):
-        o = [self.base.zero()] * self.n
-        o[0] = self.base.one()
-        return tuple(o)
-
-    def gen(self):
-        g = [self.base.zero()] * self.n
-        if self.n == 1:
-            # degree-1 extension: the generator is the root of the modulus
-            return (self.base.neg(self.modulus[0]),)
-        g[1] = self.base.one()
-        return tuple(g)
-
-    def from_base(self, a):
-        v = [self.base.zero()] * self.n
-        v[0] = a
-        return tuple(v)
-
-    def from_int(self, n: int):
-        return self.from_base(self.base.from_int(n))
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        base = self.base
-        n = self.n
-        out = [base.zero()] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = base.add(out[i + j], base.mul(x, y))
-        res = out[:n]
-        for k in range(n, 2 * n - 1):
-            c = out[k]
-            if base.is_zero(c):
-                continue
-            row = self._red_rows[k - n]
-            for i in range(n):
-                res[i] = base.add(res[i], base.mul(c, row[i]))
-        return tuple(res)
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0")
-        g, s, _ = poly_xgcd(self.base, poly_normalize(self.base, tuple(a)), self.modulus)
-        if len(g) != 1:
-            raise ZeroDivisionError("element not invertible")
-        c = self.base.inv(g[0])
-        s = tuple(self.base.mul(c, x) for x in s)
-        _, rem = poly_divmod(self.base, s, self.modulus)
-        return self._pad(rem)
-
-    def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
-
-    def eq(self, a, b):
-        return all(self.base.eq(x, y) for x, y in zip(a, b))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.inv(self.pow(a, -n))
-        result = self.one()
-        acc = a
-        while n:
-            if n & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return result
-
-    def random(self, rng: random.Random):
-        return tuple(self.base.random(rng) for _ in range(self.n))
-
-    def elements(self):
-        elems = [self.zero()]
-        base_elems = self.base.elements()
-        stack = [[]]
-        for _ in range(self.n):
-            stack = [s + [b] for s in stack for b in base_elems]
-        return [tuple(s) for s in stack]
-
-    def to_prime_coords(self, a):
-        out = []
-        for x in a:
-            out.extend(self.base.to_prime_coords(x))
-        return out
-
-    def from_prime_coords(self, coords):
-        k = self.base.degree
-        return tuple(
-            self.base.from_prime_coords(coords[i * k : (i + 1) * k])
-            for i in range(self.n)
-        )
-
-    def _pad(self, poly):
-        return tuple(poly) + tuple(self.base.zero() for _ in range(self.n - len(poly)))
-
-    def __repr__(self):
-        return f"{self.base!r}[x]/deg{self.n}"
+def multiplicative_order(a: int, p: int) -> int:
+    """The order of a nonzero a in GF(p)^*."""
+    if a % p == 0:
+        raise ValueError("0 has no multiplicative order")
+    order, x = 1, a % p
+    while x != 1:
+        x = x * a % p
+        order += 1
+    return order
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over an arbitrary field object
+# polynomial arithmetic over GF(p)
 
 
-def poly_normalize(F, f):
-    f = list(f)
-    while f and F.is_zero(f[-1]):
+def poly_normalize(p, f):
+    f = [c % p for c in f]
+    while f and not f[-1]:
         f.pop()
     return tuple(f)
 
 
-def poly_add(F, f, g):
+def poly_add(p, f, g):
     n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else F.zero()
-        b = g[i] if i < len(g) else F.zero()
-        out.append(F.add(a, b))
-    return poly_normalize(F, out)
+    return poly_normalize(
+        p, [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+    )
 
 
-def poly_sub(F, f, g):
-    return poly_add(F, f, tuple(F.neg(x) for x in g))
+def poly_sub(p, f, g):
+    return poly_add(p, f, tuple(-x for x in g))
 
 
-def poly_mul(F, f, g):
-    f = poly_normalize(F, f)
-    g = poly_normalize(F, g)
+def poly_mul(p, f, g):
+    f = poly_normalize(p, f)
+    g = poly_normalize(p, g)
     if not f or not g:
         return ()
-    out = [F.zero()] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if F.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return poly_normalize(F, out)
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return poly_normalize(p, out)
 
 
-def poly_scale(F, c, f):
-    return poly_normalize(F, tuple(F.mul(c, x) for x in f))
+def poly_scale(p, c, f):
+    return poly_normalize(p, [c * x for x in f])
 
 
-def poly_divmod(F, f, g):
-    f = list(poly_normalize(F, f))
-    g = poly_normalize(F, g)
+def poly_divmod(p, f, g):
+    f = list(poly_normalize(p, f))
+    g = poly_normalize(p, g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = F.inv(g[-1])
-    q = [F.zero()] * max(0, len(f) - len(g) + 1)
+    lead_inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(f) - len(g) + 1)
     while len(f) >= len(g):
-        c = F.mul(f[-1], lead_inv)
+        c = f[-1] * lead_inv % p
         d = len(f) - len(g)
         q[d] = c
         for i, gc in enumerate(g):
-            f[d + i] = F.sub(f[d + i], F.mul(c, gc))
-        while f and F.is_zero(f[-1]):
+            f[d + i] = (f[d + i] - c * gc) % p
+        while f and not f[-1]:
             f.pop()
-    return poly_normalize(F, q), poly_normalize(F, f)
+    return poly_normalize(p, q), tuple(f)
 
 
-def poly_gcd(F, f, g):
-    f = poly_normalize(F, f)
-    g = poly_normalize(F, g)
+def poly_gcd(p, f, g):
+    """The monic gcd (the empty tuple when both are zero)."""
+    f = poly_normalize(p, f)
+    g = poly_normalize(p, g)
     while g:
-        _, r = poly_divmod(F, f, g)
+        _, r = poly_divmod(p, f, g)
         f, g = g, r
     if f:
-        f = poly_scale(F, F.inv(f[-1]), f)
+        f = poly_scale(p, pow(f[-1], -1, p), f)
     return f
 
 
-def poly_xgcd(F, f, g):
+def poly_xgcd(p, f, g):
     """Extended gcd: returns (d, s, t) with s f + t g = d."""
-    r0, r1 = poly_normalize(F, f), poly_normalize(F, g)
-    s0, s1 = (F.one(),), ()
-    t0, t1 = (), (F.one(),)
+    r0, r1 = poly_normalize(p, f), poly_normalize(p, g)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
     while r1:
-        q, r = poly_divmod(F, r0, r1)
+        q, r = poly_divmod(p, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
-        t0, t1 = t1, poly_sub(F, t0, poly_mul(F, q, t1))
+        s0, s1 = s1, poly_sub(p, s0, poly_mul(p, q, s1))
+        t0, t1 = t1, poly_sub(p, t0, poly_mul(p, q, t1))
     return r0, s0, t0
 
 
-def poly_pow_mod(F, f, n: int, m):
-    result = (F.one(),)
-    acc = poly_divmod(F, f, m)[1]
-    while n:
-        if n & 1:
-            result = poly_divmod(F, poly_mul(F, result, acc), m)[1]
-        acc = poly_divmod(F, poly_mul(F, acc, acc), m)[1]
-        n >>= 1
-    return result
+def poly_pow_mod(p, f, n: int, m):
+    """f^n mod m."""
+    return power(
+        poly_divmod(p, f, m)[1], n, (1,),
+        lambda a, b: poly_divmod(p, poly_mul(p, a, b), m)[1],
+    )
 
 
-def poly_eval(F, f, x):
-    acc = F.zero()
+def poly_eval(p, f, x):
+    acc = 0
     for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
+        acc = (acc * x + c) % p
     return acc
 
 
-def is_irreducible(F, f) -> bool:
-    """Rabin irreducibility test for a monic polynomial over a finite field."""
-    f = poly_normalize(F, f)
+def is_irreducible(p, f) -> bool:
+    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    f = poly_normalize(p, f)
     n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-    q = F.p ** F.degree
-    x = (F.zero(), F.one())
-    # x^(q^n) == x mod f, and x^(q^(n/l)) != x for all prime divisors l of n
-    xq = poly_pow_mod(F, x, q ** n, f)
-    if poly_normalize(F, poly_sub(F, xq, x)):
+    x = (0, 1)
+    # x^(p^n) == x mod f, and x^(p^(n/l)) != x for all prime divisors l of n
+    xq = poly_pow_mod(p, x, p**n, f)
+    if poly_sub(p, xq, x):
         return False
     for ell in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
-        xq = poly_pow_mod(F, x, q ** (n // ell), f)
-        g = poly_gcd(F, poly_sub(F, xq, x), f)
+        xq = poly_pow_mod(p, x, p ** (n // ell), f)
+        g = poly_gcd(p, poly_sub(p, xq, x), f)
         if len(g) != 1:
             return False
     return True
 
 
-def find_irreducible(F, degree: int, rng: random.Random | None = None):
-    """A monic irreducible polynomial of the given degree over ``F``."""
+def find_irreducible(p, degree: int, rng: random.Random | None = None):
+    """A monic irreducible polynomial of the given degree over GF(p)."""
     if degree == 1:
-        return (F.zero(), F.one())
+        return (0, 1)
     rng = rng or random.Random(0)
     while True:
-        coeffs = [F.random(rng) for _ in range(degree)] + [F.one()]
-        f = tuple(coeffs)
-        if is_irreducible(F, f):
+        f = tuple(rng.randrange(p) for _ in range(degree)) + (1,)
+        if is_irreducible(p, f):
             return f
 
 
@@ -377,17 +185,16 @@ def find_irreducible(F, degree: int, rng: random.Random | None = None):
 # factorization (squarefree inputs; used on separable moduli only)
 
 
-def distinct_degree_factor(F, f):
+def distinct_degree_factor(p, f):
     """Partition a squarefree monic f into products of equal-degree parts.
 
     Returns a list of (d, g) with g the product of irreducible factors of
     degree d.
     """
-    q = F.p ** F.degree
     out = []
-    f = poly_normalize(F, f)
-    f = poly_scale(F, F.inv(f[-1]), f)
-    x = (F.zero(), F.one())
+    f = poly_normalize(p, f)
+    f = poly_scale(p, pow(f[-1], -1, p), f)
+    x = (0, 1)
     h = x
     d = 0
     while len(f) - 1 > 0:
@@ -395,55 +202,53 @@ def distinct_degree_factor(F, f):
         if 2 * d > len(f) - 1:
             out.append((len(f) - 1, f))
             break
-        h = poly_pow_mod(F, h, q, f)
-        g = poly_gcd(F, poly_sub(F, h, x), f)
+        h = poly_pow_mod(p, h, p, f)
+        g = poly_gcd(p, poly_sub(p, h, x), f)
         if len(g) > 1:
             out.append((d, g))
-            f, _ = poly_divmod(F, f, g)
+            f, _ = poly_divmod(p, f, g)
     return out
 
 
-def equal_degree_factor(F, f, d, rng: random.Random):
+def equal_degree_factor(p, f, d, rng: random.Random):
     """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-    f = poly_normalize(F, f)
+    f = poly_normalize(p, f)
     n = len(f) - 1
     if n == d:
         return [f]
-    q = F.p ** F.degree
     while True:
-        a = tuple(F.random(rng) for _ in range(n))
-        a = poly_normalize(F, a)
+        a = poly_normalize(p, [rng.randrange(p) for _ in range(n)])
         if len(a) <= 1:
             continue
-        g = poly_gcd(F, a, f)
+        g = poly_gcd(p, a, f)
         if 1 < len(g) < len(f):
             break
-        if F.p == 2:
-            # trace map: a + a^2 + a^4 + ... over GF(2^k)
+        if p == 2:
+            # trace map: a + a^2 + a^4 + ... over GF(2^d)
             b = a
             t = a
-            for _ in range(d * F.degree - 1):
-                b = poly_pow_mod(F, b, 2, f)
-                t = poly_add(F, t, b)
-            g = poly_gcd(F, t, f)
+            for _ in range(d - 1):
+                b = poly_pow_mod(p, b, 2, f)
+                t = poly_add(p, t, b)
+            g = poly_gcd(p, t, f)
         else:
-            e = (q ** d - 1) // 2
-            b = poly_pow_mod(F, a, e, f)
-            g = poly_gcd(F, poly_sub(F, b, (F.one(),)), f)
+            b = poly_pow_mod(p, a, (p**d - 1) // 2, f)
+            g = poly_gcd(p, poly_sub(p, b, (1,)), f)
         if 1 < len(g) < len(f):
             break
-    rest, _ = poly_divmod(F, f, g)
-    return equal_degree_factor(F, g, d, rng) + equal_degree_factor(F, rest, d, rng)
+    rest, _ = poly_divmod(p, f, g)
+    return equal_degree_factor(p, g, d, rng) + equal_degree_factor(p, rest, d, rng)
 
 
-def factor_squarefree(F, f, rng: random.Random | None = None):
+def factor_squarefree(p, f, rng: random.Random | None = None):
     """All monic irreducible factors of a squarefree monic polynomial."""
     rng = rng or random.Random(12345)
-    deriv = [F.mul(F.from_int(i), c) for i, c in enumerate(f)][1:]
-    if len(poly_gcd(F, f, deriv)) != 1:
+    f = poly_normalize(p, f)
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    if len(poly_gcd(p, f, deriv)) != 1:
         raise ValueError("polynomial is not squarefree")
     out = []
-    for d, g in distinct_degree_factor(F, f):
-        out.extend(equal_degree_factor(F, g, d, rng))
-    out.sort(key=lambda h: (len(h), [F.to_prime_coords(c) for c in h]))
+    for d, g in distinct_degree_factor(p, f):
+        out.extend(equal_degree_factor(p, g, d, rng))
+    out.sort(key=lambda h: (len(h), h))
     return out

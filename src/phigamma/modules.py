@@ -23,8 +23,6 @@ import itertools
 from .coeff import NotInvertibleError
 from .endos import RingEndo, identity_endo, make_delta, make_gamma, make_phi
 from .series import (
-    INF,
-    LaurentElement,
     PAdicUnitApprox,
     PrecisionError,
     SeriesRingSpec,
@@ -184,15 +182,6 @@ class PhiGammaModule:
         """Coordinates of T_g(v):  A_g . sigma_g(v)."""
         endo = self.endo(key)
         return mat_vec(self.matrix(key), [endo.apply(x) for x in v])
-
-    def phi_s_matrix(self):
-        """Matrix of the composite of all phi_alpha (any order; they commute)."""
-        A = mat_identity(self.ring, self.rank)
-        endo = identity_endo(self.ring)
-        for alpha in sorted(self.phi_matrices):
-            A = mat_mul(A, mat_apply(endo, self.phi_matrices[alpha]))
-            endo = endo.compose(make_phi(self.ring, alpha))
-        return A
 
     def act_phi_s(self, v):
         for alpha in sorted(self.phi_matrices):

@@ -17,7 +17,7 @@ import random
 import numpy as np
 
 from . import gfp
-from .fields import PrimeField, factor_squarefree, find_irreducible
+from .fields import factor_squarefree, find_irreducible
 
 
 class OracleCapError(ValueError):
@@ -223,11 +223,10 @@ def _absolute_field(p, L):
     sequence 1, z, ..., z^L.  Only irreducibles of degree q^a are searched
     for, never one of degree L.
     """
-    Fp = PrimeField(p)
     Z = np.zeros((1, 1), dtype=np.int64)  # multiplication by z
     for qa in _prime_powers(L):
         # fixed seeds, unrelated to the one behind the library's default moduli
-        f = find_irreducible(Fp, qa, random.Random(7919 * p + qa))
+        f = find_irreducible(p, qa, random.Random(7919 * p + qa))
         C = np.zeros((qa, qa), dtype=np.int64)  # multiplication by y
         C[1:, :-1] = np.eye(qa - 1, dtype=np.int64)
         C[:, -1] = [(-c) % p for c in f[:-1]]
@@ -270,8 +269,7 @@ def crt_split(p, moduli):
         N *= d
     if N > 256:
         raise OracleCapError("degree cap exceeded")
-    Fp = PrimeField(p)
-    factors = [factor_squarefree(Fp, tuple(int(c) % p for c in m)) for m in moduli]
+    factors = [factor_squarefree(p, tuple(int(c) for c in m)) for m in moduli]
     fdegs = {len(f) - 1 for fs in factors for f in fs}
     if any(p**n > ENUMERATION_CAP for n in fdegs):
         raise OracleCapError("root enumeration cap exceeded")

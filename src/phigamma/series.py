@@ -16,6 +16,7 @@ propagation is pessimistic; a question that the window cannot settle raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .coeff import (
@@ -25,6 +26,7 @@ from .coeff import (
     element_from_json,
     element_to_json,
 )
+from .fields import power
 
 INF = math.inf
 
@@ -132,10 +134,6 @@ class SeriesRingSpec:
     def x_delta(self, power=1):
         return self.monomial((power,) * self.nvars)
 
-    def truncate_window(self):
-        """The default working window (the ring's precision caps)."""
-        return self.precision
-
     def __repr__(self):
         return f"LaurentRing({self.coeffs!r}; {', '.join(self.variables)}; N={self.precision})"
 
@@ -181,12 +179,6 @@ class LaurentElement:
         if self.is_exact():
             return True
         raise PrecisionError("cannot distinguish 0 from a small element at this window")
-
-    def looks_zero(self):
-        return not self.support
-
-    def min_window(self):
-        return min(self.window)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -269,14 +261,7 @@ class LaurentElement:
     def __pow__(self, n):
         if n < 0:
             return self.invert() ** (-n)
-        out = self.ring.one()
-        acc = self
-        while n:
-            if n & 1:
-                out = out * acc
-            acc = acc * acc
-            n >>= 1
-        return out
+        return power(self, n, self.ring.one(), operator.mul)
 
     def _coerce(self, other):
         if isinstance(other, LaurentElement):
@@ -492,35 +477,23 @@ def _minimal_corners(supp):
 
 
 # ---------------------------------------------------------------------------
-# spec-facing operations
+# p-adic binomial series
 
 
-def series_add(a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    return a + b
-
-
-def series_mul(a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    return a * b
-
-
-def val_alpha(a: LaurentElement, alpha) -> float:
-    return a.val(alpha)
-
-
-def is_unit(a: LaurentElement) -> str:
-    return a.unit_verdict()
-
-
-def invert(a: LaurentElement) -> LaurentElement:
-    return a.invert()
+def digits_for_window(p: int, N: int) -> int:
+    """The least M >= 1 with p^M > N: base-p digits of c up to position
+    floor(log_p N) fix C(c, k) mod p for every k <= N (Lucas)."""
+    M = 1
+    while p**M <= N:
+        M += 1
+    return M
 
 
 def binomial_power(ring: SeriesRingSpec, alpha, c: PAdicUnitApprox) -> LaurentElement:
     """(1 + X_alpha)^c - 1, truncated at the ring's precision cap.
 
-    The binomial coefficient C(c, k) mod p depends only on the base-p digits
-    of c up to position floor(log_p k) (Lucas), so M >= floor(log_p N) + 1
-    digits make the truncation exact.
+    The truncation is exact once c carries ``digits_for_window(p, N)``
+    digits.
     """
     if isinstance(alpha, str):
         alpha = ring.var_index[alpha]
@@ -528,7 +501,7 @@ def binomial_power(ring: SeriesRingSpec, alpha, c: PAdicUnitApprox) -> LaurentEl
     if c.p != p:
         raise ValueError("p mismatch")
     N = ring.precision[alpha]
-    needed = _floor_log(N, p) + 1
+    needed = digits_for_window(p, N)
     if c.M < needed:
         raise PrecisionError(
             f"digit precision M={c.M} insufficient for window {N} (need {needed})"
@@ -542,13 +515,6 @@ def binomial_power(ring: SeriesRingSpec, alpha, c: PAdicUnitApprox) -> LaurentEl
             support[exps] = ring.coeffs.from_int(coeff)
     window = tuple(N if i == alpha else INF for i in range(ring.nvars))
     return LaurentElement(ring, support, 0, window)
-
-
-def _floor_log(n, p):
-    out = 0
-    while p ** (out + 1) <= n:
-        out += 1
-    return out
 
 
 def _lucas_binomial(digits, k, p):

@@ -10,10 +10,13 @@ from phigamma import CoefficientAlgebra, SeriesRingSpec
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
-def ring_for(p, degs, ds=None, prec=8, tdeg_caps=None):
+def alg_for(p, degs, ds=None):
     ds = ds or [0] * len(degs)
-    alg = CoefficientAlgebra(p, [{"n": n, "d": d} for n, d in zip(degs, ds)])
-    return SeriesRingSpec(alg, prec)
+    return CoefficientAlgebra(p, [{"n": n, "d": d} for n, d in zip(degs, ds)])
+
+
+def ring_for(p, degs, ds=None, prec=8):
+    return SeriesRingSpec(alg_for(p, degs, ds), prec)
 
 
 @pytest.fixture

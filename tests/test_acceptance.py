@@ -12,9 +12,8 @@ import random
 import time
 
 import numpy as np
-import pytest
 
-from conftest import DATA, ring_for
+from conftest import DATA, alg_for, ring_for
 from phigamma import (
     ExtensionTower,
     FrobFixedSystem,
@@ -44,8 +43,7 @@ from phigamma import (
     verify_val_zero,
 )
 from phigamma import gfp
-from phigamma.coeff import CoefficientAlgebra
-from phigamma.modules import mat_eq_window
+from phigamma.modules import mat_eq_window, mat_identity
 from phigamma.oracles import (
     DensePolynomial,
     crt_split,
@@ -73,24 +71,11 @@ class budget:
             )
 
 
-def alg_for(p, degs):
-    return CoefficientAlgebra(p, [{"n": n, "d": 0} for n in degs])
-
-
 def load_doc(name):
     data = json.loads((DATA / name).read_text())
     ring = SeriesRingSpec(algebra_from_json(data["algebra"]),
                           tuple(data["precision"]))
     return ring, data
-
-
-def identity_lattice(D):
-    ring = D.ring
-    gens = [
-        [ring.one() if i == j else ring.zero() for i in range(D.rank)]
-        for j in range(D.rank)
-    ]
-    return Lattice(D, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +269,13 @@ def test_criterion_06_lattice_certificate():
             ring, data = load_doc(name)
             D = module_from_json(ring, data["module"])
             p = ring.coeffs.p
-            cert = dplusplus_certified_lattice(D, identity_lattice(D))
+            M = Lattice(D, mat_identity(D.ring, D.rank))
+            cert = dplusplus_certified_lattice(D, M)
             assert cert["k"] == (cert["r"] + 1) // (p - 1) + 1, name
             assert cert["contained"], name
         ring, data = load_doc("module_trivial_p2.json")
         D = module_from_json(ring, data["module"])
-        M = identity_lattice(D)
+        M = Lattice(D, mat_identity(D.ring, D.rank))
         battery = [ring.x_delta(), ring.one(), ring.var(0), ring.x_delta(-1)]
         assert [in_dplusplus(D, M, [x]) for x in battery] == [
             "yes_certified", "no_certified", "no_certified", "no_certified",
@@ -304,7 +290,7 @@ def test_criterion_07_torsion_freeness():
     with budget(5):
         ring, data = load_doc("module_trivial_p2.json")
         D = module_from_json(ring, data["module"])
-        M = identity_lattice(D)
+        M = Lattice(D, mat_identity(D.ring, D.rank))
         for exps in itertools.product(range(-3, 4), repeat=2):
             x = [ring.monomial(exps)]
             for plusplus in (False, True):

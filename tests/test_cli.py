@@ -52,13 +52,6 @@ def test_check_module_corrupted_fails(capsys):
     assert rep["pass"] is False
 
 
-def test_check_module_parallel_matches_serial(capsys):
-    cfg = str(DATA / "module_cyclotomic_p3.json")
-    code1, rep1 = run(capsys, "check-module", "--config", cfg)
-    code2, rep2 = run(capsys, "check-module", "--config", cfg, "--jobs", "4")
-    assert (code1, rep1) == (code2, rep2)
-
-
 def test_fixed_points(capsys):
     code, rep = run(capsys, "fixed-points", "--config",
                     str(DATA / "fixed_points_p2_n22.json"))
@@ -120,6 +113,24 @@ def test_apply_op(capsys):
     # phi(a)^2 gamma(a; 3) applied to X_a over F_2: X_a^4 + X_a^8
     exps = sorted(t["exps"].get("X_a", 0) for t in rep["result"]["terms"])
     assert exps == [4, 8]
+
+
+def test_apply_op_caret_and_refused_parameters(tmp_path, capsys):
+    cfg = json.loads((DATA / "apply_op_example.json").read_text())
+    path = tmp_path / "op.json"
+    cfg["word"] = "gamma(a; 1+p^2)"
+    path.write_text(json.dumps(cfg))
+    code, rep = run(capsys, "apply-op", "--config", str(path))
+    assert code == 0
+    # over F_2, c = 5: (1+X_a)^5 - 1 = X_a + X_a^4 + X_a^5 on the window
+    exps = sorted(t["exps"].get("X_a", 0) for t in rep["result"]["terms"])
+    assert exps == [1, 4, 5]
+    for bad in ["gamma(a; p**2)", "gamma(a; 9^9^9)"]:
+        cfg["word"] = bad
+        path.write_text(json.dumps(cfg))
+        code, rep = run(capsys, "apply-op", "--config", str(path))
+        assert code == 2
+        assert rep["error"].startswith("ValueError: bad numeric expression")
 
 
 def test_missing_config_is_input_error(capsys):

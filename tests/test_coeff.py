@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ring_for
+from conftest import alg_for, ring_for
 from phigamma import (
     CoefficientAlgebra,
     algebra_from_json,
@@ -15,13 +15,8 @@ from phigamma import (
     tensor_idempotents,
 )
 from phigamma import gfp
-from phigamma.fields import PrimeField, find_irreducible
+from phigamma.fields import find_irreducible
 from phigamma.oracles import crt_split
-
-
-def alg_for(p, degs, ds=None):
-    ds = ds or [0] * len(degs)
-    return CoefficientAlgebra(p, [{"n": n, "d": d} for n, d in zip(degs, ds)])
 
 
 @pytest.mark.parametrize(
@@ -49,7 +44,7 @@ def _seeded_alg(p, degs, seed):
         return alg_for(p, degs)
     rng = random.Random(seed)
     return CoefficientAlgebra(
-        p, [{"n": n, "modulus": find_irreducible(PrimeField(p), n, rng)} for n in degs]
+        p, [{"n": n, "modulus": find_irreducible(p, n, rng)} for n in degs]
     )
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import ring_for
 from phigamma import (
+    INF,
     OperatorWord,
     PAdicUnitApprox,
+    RingEndo,
     gamma_inverse,
     identity_endo,
     make_delta,
@@ -15,6 +17,7 @@ from phigamma import (
     parse_word,
     verify_commutation,
 )
+from phigamma.oracles import DensePolynomial, dense_substitute
 
 
 def chi(p, r, M=5):
@@ -143,6 +146,58 @@ def test_parse_word_rejects_malformed():
     for bad in ["phi(zz)", "rho(a)", "phi(a)^", "gamma(a; import os)"]:
         with pytest.raises((ValueError, KeyError)):
             parse_word(bad, ring)
+
+
+def test_gamma_parameter_grammar():
+    ring = ring_for(3, [1], prec=8)  # M = 2 + 2 digits: residues mod 81
+    (factor,) = parse_word("gamma(a; 1+p^2)", ring).factors
+    assert factor[2].residue == 10
+    (factor,) = parse_word("gamma(a; (1 + 2*p)^3 - p*(p - 1))", ring).factors
+    assert factor[2].residue == (7**3 - 6) % 81
+    (factor,) = parse_word("delta(a; -p^3, 1)", ring).factors
+    assert [b.residue for b in factor[2]] == [81 - 27, 1]
+    too_long = "1+" * 50 + "p"
+    for bad in ["9^9^9", "p**2", "__import__('os')", "2^p", "2^-1", "(1+p", too_long]:
+        with pytest.raises(ValueError):
+            parse_word(f"gamma(a; {bad})", ring)
+
+
+@pytest.mark.parametrize(
+    "text", ["phi(a)^2 * gamma(a; 1+p)", "gamma(a; 1+p) * phi(a)^2"]
+)
+def test_word_mapping_a_variable_past_the_window(text):
+    # over p = 3 at precision 8 both words send X_a to a series of valuation
+    # 9, which has no term on the window: the image is accepted, and the
+    # result matches substitution on the dense box [0, 8]^2
+    p = 3
+    ring = ring_for(p, [1, 1], prec=8)
+    endo = parse_word(text, ring).to_endo(ring)
+    x, y = ring.var(0), ring.var(1)
+    a = ring.one() + x + x * y + y**2 + x**3 * y**8
+    out = endo.apply(a)
+    assert out.window == (8, INF)
+
+    def dense(el):
+        return DensePolynomial.from_terms(
+            p, (9, 9), {e: int(c.constant_fd()[0]) for e, c in el.support.items()}
+        )
+
+    X9 = DensePolynomial.zero(p, (9, 9))  # X_a^9 is past the box
+    Y = DensePolynomial.from_terms(p, (9, 9), {(0, 1): 1})
+    # (1 + X)^4 - 1 = X + X^3 + X^4 mod 3; the right factor acts first
+    gamma_x = DensePolynomial.from_terms(p, (9, 9), {(1, 0): 1, (3, 0): 1, (4, 0): 1})
+    if text.startswith("phi"):
+        image = dense_substitute(gamma_x, [X9, Y])
+    else:
+        image = dense_substitute(X9, [gamma_x, Y])
+    assert dense(out) == dense_substitute(dense(a), [image, Y])
+    assert set(out.support) == {(0, 0), (0, 2)}
+
+
+def test_ring_endo_refuses_images_of_valuation_zero():
+    ring = ring_for(2, [1], prec=8)
+    with pytest.raises(ValueError, match="valuation >= 1"):
+        RingEndo(ring, [ring.one() + ring.var(0)], (0,))
 
 
 def test_identity_endo_is_neutral():

@@ -8,7 +8,6 @@ from phigamma import (
     Lattice,
     NotInvertibleError,
     PAdicUnitApprox,
-    PrecisionError,
     RelationError,
     algebra_from_json,
     check_etale,
@@ -16,14 +15,13 @@ from phigamma import (
     dplusplus_certified_lattice,
     in_dplus,
     in_dplusplus,
-    make_gamma,
     module_from_json,
     module_to_json,
     rank_one_from_units,
     torsion_free_check,
     verify_val_zero,
 )
-from phigamma.modules import base_change, mat_eq_window, phi_s_denominator
+from phigamma.modules import base_change, mat_eq_window, mat_identity, phi_s_denominator
 from phigamma.series import SeriesRingSpec
 
 
@@ -32,15 +30,6 @@ def load_module(name):
     ring = SeriesRingSpec(algebra_from_json(data["algebra"]),
                           tuple(data["precision"]))
     return ring, module_from_json(ring, data["module"])
-
-
-def identity_lattice(D):
-    ring = D.ring
-    gens = [
-        [ring.one() if i == j else ring.zero() for i in range(D.rank)]
-        for j in range(D.rank)
-    ]
-    return Lattice(D, gens)
 
 
 @pytest.mark.parametrize(
@@ -114,13 +103,14 @@ def test_phi_s_denominator_values():
         D = rank_one_from_units(ring, {0: a}) if a.unit_verdict() == "unit" \
             else None
         assert D is not None
-        M = identity_lattice(D)
+        M = Lattice(D, mat_identity(D.ring, D.rank))
         assert phi_s_denominator(D, M) == expected
 
 
 def test_dplusplus_certificate_exponent():
     ring, D = load_module("module_inverse_square_p2.json")
-    cert = dplusplus_certified_lattice(D, identity_lattice(D))
+    M = Lattice(D, mat_identity(D.ring, D.rank))
+    cert = dplusplus_certified_lattice(D, M)
     # r = 2, p = 2 so k = floor(3/1) + 1 = 4
     assert cert["r"] == 2
     assert cert["k"] == 4
@@ -129,7 +119,7 @@ def test_dplusplus_certificate_exponent():
 
 def test_membership_battery_trivial_module():
     ring, D = load_module("module_trivial_p2.json")
-    M = identity_lattice(D)
+    M = Lattice(D, mat_identity(D.ring, D.rank))
     battery = [
         (ring.x_delta(), "yes_certified", "yes_certified"),
         (ring.one(), "no_certified", "yes_certified"),
@@ -143,7 +133,7 @@ def test_membership_battery_trivial_module():
 
 def test_membership_nontrivial_module():
     ring, D = load_module("module_cyclotomic_p2.json")
-    M = identity_lattice(D)
+    M = Lattice(D, mat_identity(D.ring, D.rank))
     # X_Delta^k M certificate holds; X^k for large k certainly lies in it
     cert = dplusplus_certified_lattice(D, M)
     k = cert["k"]
@@ -153,7 +143,7 @@ def test_membership_nontrivial_module():
 
 def test_torsion_free_check_trivial():
     ring, D = load_module("module_trivial_p2.json")
-    M = identity_lattice(D)
+    M = Lattice(D, mat_identity(D.ring, D.rank))
     rng = random.Random(13)
     for _ in range(10):
         exps = tuple(rng.randrange(-2, 3) for _ in range(2))

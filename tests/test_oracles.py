@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ring_for
+from conftest import alg_for, ring_for
 from phigamma import tensor_idempotents
-from phigamma.coeff import CoefficientAlgebra
 from phigamma.oracles import (
     DensePolynomial,
     OracleCapError,
@@ -38,7 +37,7 @@ def test_caps_raise():
 
 @pytest.mark.parametrize("p,degs", [(2, [2, 2]), (3, [2, 2]), (2, [3, 2])])
 def test_crt_split_idempotent_axioms(p, degs):
-    alg = CoefficientAlgebra(p, [{"n": n, "d": 0} for n in degs])
+    alg = alg_for(p, degs)
     moduli = [list(s.base.modulus) for s in alg.factors]
     oracle = crt_split(p, moduli)
     es = [alg.from_fdelta(list(e)) for e in oracle["idempotents"]]
