@@ -20,10 +20,13 @@ composition of functions: in ``A * B`` the factor ``B`` is applied first.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 
 from .coeff import CoeffElement, UndecidedError
 from .series import (
+    INF,
     LaurentElement,
     PAdicUnitApprox,
     SeriesRingSpec,
@@ -39,10 +42,13 @@ class RingEndo:
         self.frob_exps = tuple(frob_exps)
         self.twists = dict(twists or {})  # (alpha, local index) -> LaurentElement
         for alpha, img in enumerate(self.var_images):
-            # an image with no term on its window has valuation above the
-            # window, which is all this check needs: val() would ask for the
-            # exact valuation and raise
-            low = img.val(alpha) < 1 if img.support else img.window[alpha] < 0
+            # with no term on a window that is finite in X_alpha alone, every
+            # term has X_alpha-exponent past the window, which is all this
+            # check needs; val() would ask for the exact valuation and raise
+            past_window = not img.support and all(
+                w == INF for i, w in enumerate(img.window) if i != alpha
+            )
+            low = img.window[alpha] < 0 if past_window else img.val(alpha) < 1
             if low:
                 raise ValueError(
                     f"image of {ring.variables[alpha]} must have valuation >= 1"
@@ -308,7 +314,11 @@ def _factor_endo(ring, f):
 
 _HEAD_RE = re.compile(r"\s*(phi|gamma|delta)\s*\(\s*([A-Za-z_][A-Za-z_0-9]*)\s*")
 _EXP_RE = re.compile(r"\s*(?:\^\s*(-?\d+))?\s*")
-_TOKEN_RE = re.compile(r"\s*(\d+|p|\*\*|[-+*^()])")
+_EXPR_CHARS_RE = re.compile(r"[0-9p+\-*^() ]*")
+_EXPR_OPS = {  # every operator but '^', which takes a literal exponent only
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+}
 MAX_EXPR_LEN = 100  # characters in one numeric parameter
 
 
@@ -345,77 +355,43 @@ def _eval_padic_expr(expr: str, p: int, M: int) -> PAdicUnitApprox:
     """An integer expression in the symbol ``p``, reduced mod p^M.
 
     The grammar has digits, ``p``, ``+`` and ``-`` (binary or unary), ``*``,
-    parentheses, and ``^`` with a literal exponent; an exponent takes no
-    further ``^``.  Every step is reduced mod p^M, which gives the residue
+    parentheses, and ``^`` with a literal exponent (``p^2`` or ``p^(2)``);
+    an exponent takes no further ``^``.  Every step is reduced mod p^M, which gives the residue
     of the exact value.
     """
-    expr = expr.strip()
+    expr = " ".join(expr.split())
     if len(expr) > MAX_EXPR_LEN:
         raise ValueError(f"numeric expression longer than {MAX_EXPR_LEN} characters")
-
-    def bad(why=""):
-        return ValueError(f"bad numeric expression {expr!r}{why}")
-
-    tokens, pos = [], 0
-    while pos < len(expr):
-        m = _TOKEN_RE.match(expr, pos)
-        if not m:
-            raise bad()
-        if m.group(1) == "**":
-            raise bad(": powers are written '^'")
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append("")  # end marker
+    bad = ValueError(f"bad numeric expression {expr!r}")
+    if "**" in expr:
+        raise ValueError(f"bad numeric expression {expr!r}: powers are written '^'")
+    if not _EXPR_CHARS_RE.fullmatch(expr):
+        raise bad
+    try:  # Python's parser, with '^' as '**' and no leading zeros
+        source = re.sub(r"\b0+(?=\d)", "", expr).replace("^", "**")
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError:
+        raise bad from None
     mod = p**M
-    at = 0
 
-    def take():
-        nonlocal at
-        at += 1
-        return tokens[at - 1]
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value % mod
+        if isinstance(node, ast.Name) and node.id == "p":
+            return p % mod
+        op = _EXPR_OPS.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.UnaryOp) and op:
+            return op(value(node.operand)) % mod
+        if isinstance(node, ast.BinOp) and op:
+            return op(value(node.left), value(node.right)) % mod
+        k = getattr(node, "right", None)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and (
+            isinstance(k, ast.Constant) and type(k.value) is int
+        ):
+            return pow(value(node.left), k.value, mod)
+        raise bad
 
-    def expression():
-        v = product()
-        while tokens[at] in ("+", "-"):
-            v = v + product() if take() == "+" else v - product()
-        return v % mod
-
-    def product():
-        v = signed()
-        while tokens[at] == "*":
-            take()
-            v = v * signed() % mod
-        return v
-
-    def signed():
-        if tokens[at] in ("+", "-"):
-            return signed() if take() == "+" else -signed()
-        v = atom()
-        if tokens[at] == "^":
-            take()
-            k = take()
-            if not k.isdigit():
-                raise bad(": '^' takes a literal exponent")
-            if tokens[at] == "^":
-                raise bad(": no exponent towers")
-            v = pow(v, int(k), mod)
-        return v
-
-    def atom():
-        tok = take()
-        if tok == "(":
-            v = expression()
-            if take() != ")":
-                raise bad(": unbalanced parentheses")
-            return v
-        if tok == "p" or tok.isdigit():
-            return (p if tok == "p" else int(tok)) % mod
-        raise bad()
-
-    value = expression()
-    if tokens[at]:
-        raise bad()
-    return PAdicUnitApprox(p, value, M)
+    return PAdicUnitApprox(p, value(tree), M)
 
 
 def parse_word(text: str, ring: SeriesRingSpec) -> OperatorWord:

@@ -172,6 +172,9 @@ def is_irreducible(p, f) -> bool:
 
 def find_irreducible(p, degree: int, rng: random.Random | None = None):
     """A monic irreducible polynomial of the given degree over GF(p)."""
+    if not is_prime(p):
+        # over Z/p the search may fail on a non-unit or, for p < 2, never end
+        raise ValueError(f"p = {p} is not prime")
     if degree == 1:
         return (0, 1)
     rng = rng or random.Random(0)

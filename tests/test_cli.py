@@ -147,6 +147,18 @@ def test_malformed_config_is_input_error(tmp_path, capsys):
     assert "error" in rep
 
 
+@pytest.mark.parametrize("p", [1, 4])
+def test_non_prime_p_is_input_error(tmp_path, capsys, p):
+    # the default modulus is searched for before the spec checks p
+    cfg = json.loads((DATA / "idempotents_p2_n22.json").read_text())
+    cfg["p"] = p
+    path = tmp_path / "bad_p.json"
+    path.write_text(json.dumps(cfg))
+    code, rep = run(capsys, "idempotents", "--config", str(path))
+    assert code == 2
+    assert rep["error"] == f"ValueError: p = {p} is not prime"
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(["idempotents", "--config",

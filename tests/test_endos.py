@@ -5,8 +5,10 @@ import pytest
 from conftest import ring_for
 from phigamma import (
     INF,
+    LaurentElement,
     OperatorWord,
     PAdicUnitApprox,
+    PrecisionError,
     RingEndo,
     gamma_inverse,
     identity_endo,
@@ -198,6 +200,14 @@ def test_ring_endo_refuses_images_of_valuation_zero():
     ring = ring_for(2, [1], prec=8)
     with pytest.raises(ValueError, match="valuation >= 1"):
         RingEndo(ring, [ring.one() + ring.var(0)], (0,))
+    # no term on a window finite in X_b too: a term such as X_b^9 may lie
+    # past it with X_a-exponent 0, so the valuation is not certified
+    ring = ring_for(2, [1, 1], prec=8)
+    hidden = LaurentElement(ring, {}, 0, (8, 8))
+    with pytest.raises(PrecisionError):
+        RingEndo(ring, [hidden, ring.var(1)], (0, 0))
+    past = LaurentElement(ring, {}, 0, (8, INF))
+    RingEndo(ring, [past, ring.var(1)], (0, 0))
 
 
 def test_identity_endo_is_neutral():
