@@ -11,6 +11,7 @@ comparable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -288,8 +289,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

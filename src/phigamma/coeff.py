@@ -6,9 +6,19 @@ part.  The finite parts multiply out to an etale algebra ``F`` that splits
 into field components via primitive idempotents; the transcendental parts
 contribute polynomial numerators and per-factor denominators.
 
-Elements of the finite part ``F`` are numpy vectors over the monomial basis
-of GF(p)[y_1,...,y_s] / (moduli); multiplication is the structure tensor
-precomputed as a linear map, so that repeated products stay cheap.
+Elements of the finite part ``F`` are int64 numpy vectors over the monomial
+basis of GF(p)[y_1,...,y_s] / (moduli).  Every vector the library stores is
+reduced into [0, p), so a vector is zero exactly when it has no nonzero
+entry, and products need no input reduction.  Multiplication is the
+structure tensor precomputed as one N x N^2 integer map: left
+multiplication by x is the N x N matrix ``x @ map mod p``.
+
+Products of several terms at once go through one kernel,
+``CoefficientAlgebra.mul_rows``: each operand is a list of rows (an integer
+key, such as a t-monomial or a series exponent followed by one, and a
+vector), all pair products come from one matmul with the map for the rows
+of one operand and one batched matmul with the rows of the other, and the
+products are summed per summed key.
 
 The split of ``F`` happens in its Frobenius-fixed subalgebra
 ``A = F^{Frob_s}``, which is GF(p)^ell for ell components and contains every
@@ -41,6 +51,13 @@ class UndecidedError(ArithmeticError):
     """Raised when a verdict cannot be certified at the given presentation."""
 
 
+# every algebra re-validates its moduli, and workloads reuse a few moduli many
+# times over: one Rabin test per (p, modulus)
+@functools.lru_cache(maxsize=4096)
+def _is_irreducible_memo(p, modulus):
+    return is_irreducible(p, modulus)
+
+
 @dataclass(frozen=True)
 class FiniteFieldSpec:
     """GF(p^n) presented as GF(p)[y]/(modulus)."""
@@ -58,7 +75,7 @@ class FiniteFieldSpec:
         object.__setattr__(self, "modulus", mod)
         if len(mod) != self.n + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
-        if not is_irreducible(self.p, mod):
+        if not _is_irreducible_memo(self.p, mod):
             raise ValueError("modulus is reducible over GF(p)")
 
     @classmethod
@@ -175,11 +192,11 @@ class CoefficientAlgebra:
             T = T.reshape(n1 * n2, n1 * n2, n1 * n2) % self.p
         # The product as a precomputed linear map in two stages: x -> x . T,
         # an N x N matrix reduced mod p, then y -> y . (x . T).  Each stage
-        # sums N terms below p^2, in float64 (for BLAS); exact while the sums
-        # stay below 2^53.
+        # sums N terms below p^2, exactly in int64; the split runs both
+        # stages in float64 (for BLAS), exact while the sums stay below 2^53.
         if self.N * (self.p - 1) ** 2 >= 2**53:
             raise ValueError("dim F * (p-1)^2 >= 2^53: products would not be exact")
-        self._mul_map = T.reshape(self.N, self.N * self.N).astype(np.float64)
+        self._mul_map = T.reshape(self.N, self.N * self.N)
 
         self.frob_matrices = []
         for i in range(self.nvars):
@@ -229,16 +246,52 @@ class CoefficientAlgebra:
             v[stride] = 1
         return v
 
-    def _left_mul(self, x):
-        # A[j, k] = sum_i x_i T[i, j, k] mod p
-        return ((np.asarray(x) % self.p) @ self._mul_map % self.p).reshape(self.N, self.N)
-
     def fd_mul(self, x, y):
-        return ((np.asarray(y) % self.p) @ self._left_mul(x) % self.p).astype(np.int64)
+        # (x @ map)[j, k] = sum_i x_i T[i, j, k]: left multiplication by x
+        return y @ (x @ self._mul_map % self.p).reshape(self.N, self.N) % self.p
 
     def fd_mul_matrix(self, x):
         # matrix of multiplication by x:  (M v)_k = sum_ij T[i,j,k] x_i v_j
-        return self._left_mul(x).T.astype(np.int64)
+        return (x @ self._mul_map % self.p).reshape(self.N, self.N).T
+
+    def mul_rows(self, ka, va, kb, vb, limit=None):
+        """Every pair product of two lists of rows, summed per summed key.
+
+        ``ka`` (na x K) and ``kb`` (nb x K) are int64 keys and ``va``
+        (na x N) and ``vb`` (nb x N) reduced int64 vectors; pair (i, j) is
+        the row ``(ka[i] + kb[j], va[i] * vb[j])``.  Pairs whose key exceeds
+        ``limit`` (a length-K array, ``inf`` for no bound) in some entry are
+        dropped.  Returns the surviving keys, each once, and their summed
+        vectors, reduced and nonzero.
+        """
+        p, N = self.p, self.N
+        if len(ka) > len(kb):  # one left-multiplication matrix per row of
+            ka, va, kb, vb = kb, vb, ka, va  # the shorter list
+        if len(ka) == 1:  # the keys of the longer list, shifted: all distinct
+            prods = vb @ (va[0] @ self._mul_map % p).reshape(N, N) % p
+            keys = kb + ka[0]
+            keep = prods.any(axis=1)
+            if limit is not None:
+                keep &= (keys <= limit).all(axis=1)
+            if keep.all():
+                return keys, prods
+            return keys[keep], prods[keep]
+        left = (va @ self._mul_map % p).reshape(len(va), N, N)
+        prods = (vb @ left % p).reshape(-1, N)
+        keys = (ka[:, None, :] + kb[None, :, :]).reshape(len(prods), -1)
+        if limit is not None:
+            keep = (keys <= limit).all(axis=1)
+            keys, prods = keys[keep], prods[keep]
+        if not len(keys):
+            return keys, prods
+        # sort the keys to group equal ones.  Each product is already below
+        # p, so a group's sum of at most na * nb of them is far below 2^63
+        order = np.lexsort(keys.T)
+        keys, prods = keys[order], prods[order]
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        keys, prods = keys[starts], np.add.reduceat(prods, starts) % p
+        keep = prods.any(axis=1)
+        return keys[keep], prods[keep]
 
     def fd_inv(self, x):
         sol = gfp.solve(self.fd_mul_matrix(x), self.fd_one(), self.p)
@@ -253,7 +306,7 @@ class CoefficientAlgebra:
         return power(x, n, self.fd_one(), self.fd_mul)
 
     def fd_is_zero(self, x):
-        return not np.any(x % self.p)
+        return not x.any()  # x is reduced
 
     def fd_random(self, rng: random.Random):
         return np.array([rng.randrange(self.p) for _ in range(self.N)], dtype=np.int64)
@@ -286,9 +339,11 @@ class CoefficientAlgebra:
         fixed = gfp.nullspace((self.frob_s_matrix - np.eye(N, dtype=np.int64)) % p, p)
         R, pivots = gfp.rref(fixed, p)
         ell = len(pivots)
-        # S[i, j, k]: coordinate k of R_i * R_j, from one batched product map
-        left = (R @ self._mul_map % p).reshape(ell, N, N)
-        S = (R @ left[:, :, pivots] % p).astype(np.int64)
+        # S[i, j, k]: coordinate k of R_i * R_j, from one batched product
+        # map; only the pivot columns of the map are read, in float64 for BLAS
+        pivot_map = self._mul_map.reshape(N, N, N)[:, :, pivots].astype(np.float64)
+        left = (R @ pivot_map.reshape(N, N * ell) % p).reshape(ell, N, ell)
+        S = (R @ left % p).astype(np.int64)
         lines = [np.eye(ell, dtype=np.int64)]  # reduced bases of the spaces
         for Si in S:
             if len(lines) == ell:
@@ -419,28 +474,23 @@ def _num_neg(alg, a):
     return {m: (-v) % alg.p for m, v in a.items()}
 
 
+def _num_rows(alg, num):
+    """A numerator ({t-monomial: vector}) as mul_rows' key and vector arrays."""
+    return (
+        np.array(list(num), dtype=np.int64).reshape(len(num), alg.total_d),
+        np.array(list(num.values())),
+    )
+
+
 def _num_mul(alg, a, b):
-    out = {}
-    for m1, v1 in a.items():
-        for m2, v2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            prod = alg.fd_mul(v1, v2)
-            cur = out.get(m)
-            s = prod if cur is None else (cur + prod) % alg.p
-            if alg.fd_is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
+    if not a or not b:
+        return {}
+    keys, vecs = alg.mul_rows(*_num_rows(alg, a), *_num_rows(alg, b))
+    return {tuple(k): v.copy() for k, v in zip(keys.tolist(), vecs)}
 
 
 def _num_scale_fd(alg, a, vec):
-    out = {}
-    for m, v in a.items():
-        s = alg.fd_mul(v, vec)
-        if not alg.fd_is_zero(s):
-            out[m] = s
-    return out
+    return _num_mul(alg, a, {alg._zero_mono(): vec})
 
 
 def _num_frob(alg, a, alpha):
@@ -478,7 +528,9 @@ class CoeffElement:
     The numerator is a polynomial in all transcendental symbols with
     coefficients in the finite part; each denominator factor is a nonzero
     polynomial in the symbols of a single factor with GF(p) coefficients
-    (such factors are always units of the ring).
+    (such factors are always units of the ring).  The constructor takes the
+    numerator as given: its vectors must be nonzero int64 vectors reduced
+    into [0, p).
     """
 
     __slots__ = ("alg", "num", "den")

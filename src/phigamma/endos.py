@@ -61,11 +61,28 @@ class RingEndo:
         return self.twists.get((alpha, i), self.ring.one())
 
     def _var_power(self, alpha, e):
-        key = (alpha, e)
+        return self._power(alpha, self.var_images[alpha], e)
+
+    def _power(self, name, base, e):
+        """base^e for e != 0, cached under (name, e).
+
+        Each power is one product of cached powers: x^e = x^(e-h) x^h with h
+        the top bit of e, and x^h = x^(h/2) x^(h/2), the products that
+        square-and-multiply makes for x^e; a negative e takes the powers of
+        the inverse.
+        """
+        key = (name, e)
         cached = self._pow_cache.get(key)
         if cached is None:
-            img = self.var_images[alpha]
-            cached = img ** e if e >= 0 else img.invert() ** (-e)
+            if e in (1, -1):
+                cached = base if e == 1 else base.invert()
+            else:
+                h = (1 << (abs(e).bit_length() - 1)) * (1 if e > 0 else -1)
+                if h == e:
+                    half = self._power(name, base, e // 2)
+                    cached = half * half
+                else:
+                    cached = self._power(name, base, e - h) * self._power(name, base, h)
             self._pow_cache[key] = cached
         return cached
 
@@ -75,9 +92,12 @@ class RingEndo:
         """Image of a coefficient-ring element (a series, via the twists)."""
         ring = self.ring
         alg = ring.coeffs
-        out = ring.zero()
+        out = None
         for mono, vec in c.num.items():
-            out = out + self._image_of_num_term(mono, vec)
+            img = self._image_of_num_term(mono, vec)
+            out = img if out is None else out + img
+        if out is None:
+            out = ring.zero()
         for beta, poly in c.den:
             img = ring.zero()
             for mono, coeff in poly:
@@ -100,7 +120,7 @@ class RingEndo:
             for _ in range(e):
                 v = alg.fd_frob(v, alpha)
         new_mono = list(mono)
-        mult = ring.one()
+        mult = None  # the product of the twists, when one applies
         for k, m in enumerate(mono):
             if m == 0:
                 continue
@@ -109,14 +129,10 @@ class RingEndo:
             new_mono[k] = m * alg.p**e
             u = self.twists.get((alpha, k))
             if u is not None:
-                key = ("twist", k, m)
-                cached = self._pow_cache.get(key)
-                if cached is None:
-                    cached = u**m
-                    self._pow_cache[key] = cached
-                mult = mult * cached
+                twist = self._power(("twist", k), u, m)
+                mult = twist if mult is None else mult * twist
         base = CoeffElement(alg, {tuple(new_mono): v}, ())
-        return mult.scale(base)
+        return ring.constant(base) if mult is None else mult.scale(base)
 
     def apply(self, a: LaurentElement) -> LaurentElement:
         if not self.ring.same_as(a.ring):

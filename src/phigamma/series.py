@@ -11,6 +11,14 @@ exact coefficients at every exponent vector with e_alpha <= W_alpha.  A
 window of ``math.inf`` marks an exact (polynomial) element.  All precision
 propagation is pessimistic; a question that the window cannot settle raises
 ``PrecisionError`` or returns the verdict "undecided" rather than guessing.
+
+A product of two series is one call of the coefficient kernel
+``CoefficientAlgebra.mul_rows``: every term of every coefficient becomes a
+row keyed by its X-exponents followed by its t-exponents, so all pair
+products, the window cut and the sums per exponent happen in one batch.
+Results of the ring operations are built without the public constructor's
+checks (their supports are nonzero and their poles lie in the pole set by
+construction); the window is still clipped and terms beyond it dropped.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coeff import (
     CoeffElement,
@@ -138,6 +148,14 @@ class SeriesRingSpec:
         return f"LaurentRing({self.coeffs!r}; {', '.join(self.variables)}; N={self.precision})"
 
 
+def _clip(ring, window, pole_bound):
+    """A finite window entry is at most the precision cap less the poles."""
+    return tuple([
+        w if w == INF else min(w, cap - pole_bound)
+        for w, cap in zip(window, ring.precision)
+    ])
+
+
 class LaurentElement:
     __slots__ = ("ring", "support", "pole_bound", "window", "pole_set")
 
@@ -145,10 +163,7 @@ class LaurentElement:
         self.ring = ring
         self.pole_bound = pole_bound
         self.pole_set = frozenset(pole_set)
-        window = tuple(
-            min(w, ring.precision[i] - pole_bound) if w != INF else INF
-            for i, w in enumerate(window)
-        )
+        window = _clip(ring, window, pole_bound)
         clean = {}
         for exps, c in support.items():
             if c.is_zero():
@@ -167,6 +182,30 @@ class LaurentElement:
         self.support = clean
         self.window = window
 
+    @classmethod
+    def _trusted(cls, ring, support, pole_bound, window, pole_set, clipped=False):
+        """A result of the ring operations, built without the checks above:
+        no zero coefficients, and negative exponents only in ``pole_set``
+        and above ``-pole_bound``.  The window is clipped as above and the
+        terms beyond it are dropped, unless ``clipped`` says that the caller
+        has done both."""
+        el = cls.__new__(cls)
+        el.ring = ring
+        el.pole_bound = pole_bound
+        el.pole_set = pole_set
+        if not clipped:
+            window = _clip(ring, window, pole_bound)
+            finite = [(i, w) for i, w in enumerate(window) if w != INF]
+            if finite:
+                support = {
+                    e: c
+                    for e, c in support.items()
+                    if all(e[i] <= w for i, w in finite)
+                }
+        el.window = window
+        el.support = support
+        return el
+
     # -- inspection ----------------------------------------------------
 
     def is_exact(self):
@@ -183,7 +222,7 @@ class LaurentElement:
     # -- arithmetic ----------------------------------------------------
 
     def _require_ring(self, other):
-        if not self.ring.same_as(other.ring):
+        if self.ring is not other.ring and not self.ring.same_as(other.ring):
             raise ValueError("elements live in different series rings")
 
     def __add__(self, other):
@@ -198,7 +237,7 @@ class LaurentElement:
                 support.pop(e, None)
             else:
                 support[e] = s
-        return LaurentElement(
+        return LaurentElement._trusted(
             self.ring,
             support,
             max(self.pole_bound, other.pole_bound),
@@ -207,7 +246,7 @@ class LaurentElement:
         )
 
     def __neg__(self):
-        return LaurentElement(
+        return LaurentElement._trusted(
             self.ring,
             {e: -c for e, c in self.support.items()},
             self.pole_bound,
@@ -226,14 +265,51 @@ class LaurentElement:
     def __mul__(self, other):
         other = self._coerce(other)
         self._require_ring(other)
-        ma = self._effective_poles()
-        mb = other._effective_poles()
-        # a coefficient at e is exact unless an unknown term of one factor
-        # (beyond its window) can pair with a deepest-pole term of the other
-        window = tuple(
-            min(wa - pb, wb - pa)
-            for wa, wb, pa, pb in zip(self.window, other.window, ma, mb)
+        return self._times(other)
+
+    def _times(self, other):
+        ring = self.ring
+        pa, pb = self.pole_bound, other.pole_bound
+        pole_bound = pa + pb
+        if pole_bound:
+            # a coefficient at e is exact unless an unknown term of one factor
+            # (beyond its window) can pair with a deepest-pole term of the
+            # other; clipped here as the result's constructor would clip it
+            ma = self._effective_poles()
+            mb = other._effective_poles()
+            window = _clip(
+                ring,
+                tuple(
+                    min(wa - qb, wb - qa)
+                    for wa, wb, qa, qb in zip(self.window, other.window, ma, mb)
+                ),
+                pole_bound,
+            )
+        else:  # both windows are within the caps already
+            window = tuple(map(min, self.window, other.window))
+        pole_set = self.pole_set | other.pole_set
+        support = {}
+        if self.support and other.support:
+            rows_a, rows_b = self._rows(), other._rows()
+            if rows_a is None or rows_b is None:
+                support = self._pair_products(other, window)
+            else:
+                limit = None
+                if any(w != INF for w in window):
+                    limit = np.array(window + (INF,) * ring.coeffs.total_d)
+                keys, vecs = ring.coeffs.mul_rows(*rows_a, *rows_b, limit)
+                support = _support_from_rows(ring, keys, vecs)
+        return LaurentElement._trusted(
+            ring, support, pole_bound, window, pole_set, clipped=True
         )
+
+    def _pair_products(self, other, window):
+        """The product's support, one coefficient product per pair of terms.
+
+        Only for coefficients with a denominator: such a coefficient
+        multiplies as a fraction, and summing two needs a common denominator
+        (CoeffElement.__add__), which is not a sum of numerator rows.
+        """
         support = {}
         for e1, c1 in self.support.items():
             for e2, c2 in other.support.items():
@@ -247,13 +323,20 @@ class LaurentElement:
                     support.pop(e, None)
                 else:
                     support[e] = s
-        return LaurentElement(
-            self.ring,
-            support,
-            self.pole_bound + other.pole_bound,
-            window,
-            self.pole_set | other.pole_set,
-        )
+        return support
+
+    def _rows(self):
+        """Every term of every coefficient as a row: key (X-exponents,
+        t-exponents) and its finite-part vector (see coeff.mul_rows); None
+        when a coefficient has a denominator."""
+        keys, vecs = [], []
+        for e, c in self.support.items():
+            if c.den:
+                return None
+            for t, v in c.num.items():
+                keys.append(e + t)
+                vecs.append(v)
+        return np.array(keys, dtype=np.int64), np.array(vecs)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -261,6 +344,16 @@ class LaurentElement:
     def __pow__(self, n):
         if n < 0:
             return self.invert() ** (-n)
+        if len(self.support) == 1 and self.is_exact():
+            # (c X^e)^n = c^n X^(n e), exact, with n times the pole bound
+            ((e, c),) = self.support.items()
+            return LaurentElement._trusted(
+                self.ring,
+                {tuple(n * k for k in e): c**n},
+                n * self.pole_bound,
+                self.window,
+                self.pole_set if n else frozenset(),
+            )
         return power(self, n, self.ring.one(), operator.mul)
 
     def _coerce(self, other):
@@ -292,23 +385,22 @@ class LaurentElement:
         return LaurentElement(self.ring, support, pole_bound, window, pole_set)
 
     def scale(self, c):
-        """Multiply by a coefficient-ring element (window unchanged)."""
+        """Multiply by a coefficient-ring element (window unchanged: the
+        constant is exact and has no pole)."""
+        ring = self.ring
         if isinstance(c, int):
-            c = self.ring.coeffs.from_int(c)
-        support = {}
-        for e, v in self.support.items():
-            s = v * c
-            if not s.is_zero():
-                support[e] = s
-        return LaurentElement(
-            self.ring, support, self.pole_bound, self.window, self.pole_set
+            c = ring.coeffs.from_int(c)
+        constant = LaurentElement._trusted(
+            ring, {} if c.is_zero() else {(0,) * ring.nvars: c}, 0,
+            (INF,) * ring.nvars, frozenset(),
         )
+        return self._times(constant)
 
     def truncated(self, window):
         if isinstance(window, int):
             window = (window,) * self.ring.nvars
         window = tuple(min(a, b) for a, b in zip(self.window, window))
-        return LaurentElement(
+        return LaurentElement._trusted(
             self.ring, self.support, self.pole_bound, window, self.pole_set
         )
 
@@ -464,6 +556,20 @@ class LaurentElement:
             parts.append(f"({c!r})*{mono}" if mono else f"({c!r})")
         tail = "" if self.is_exact() else f" + O(window {self.window})"
         return " + ".join(parts[:8]) + (" + ..." if len(parts) > 8 else "") + tail
+
+
+def _support_from_rows(ring, keys, vecs):
+    """The series support {X-exponents: CoeffElement} of mul_rows' output;
+    each vector is copied, so the support holds no view of the batch."""
+    nv = ring.nvars
+    nums = {}
+    for key, vec in zip(keys.tolist(), vecs):
+        e = tuple(key[:nv])
+        num = nums.get(e)
+        if num is None:
+            nums[e] = num = {}
+        num[tuple(key[nv:])] = vec.copy()
+    return {e: CoeffElement(ring.coeffs, num, ()) for e, num in nums.items()}
 
 
 def _minimal_corners(supp):
