@@ -1,14 +1,14 @@
 """Paired benchmark runs: a base commit against the working tree.
 
-    python scripts/bench_pairs.py --base HEAD --workload operators --seed 61 \
-        --seconds 8 --pairs 10
+    python scripts/bench_pairs.py --base HEAD --workload operators --seed 61 --pairs 10
 
 Run from anywhere inside the repository.  The base commit and the working
 tree (tracked files with their uncommitted edits, plus untracked files that
-are not ignored) are checked out into two temporary ``git worktree``s under
-one temporary directory, which is removed at the end.  Each pair runs
+are not ignored) are copied into two directories under one temporary
+directory, the base with ``git archive``; it is removed at the end.  Each pair runs
 ``perfbench/run.py`` once on each side, alternating which side runs first,
-with identical arguments.  For every end-to-end metric of ``BENCHMARK.json``
+with identical arguments and the run length ``run_seconds`` of
+``BENCHMARK.json``.  For every end-to-end metric of ``BENCHMARK.json``
 the script prints each side's median and quartiles, the relative change of
 the medians, the share of pairs the working tree won (ties count for
 neither side), and whether that is a gain: at least nine tenths of the
@@ -36,20 +36,22 @@ def git(repo, *args):
 
 
 def checkout(repo, rev, dest):
-    git(repo, "worktree", "add", "--detach", str(dest), rev)
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def checkout_working_tree(repo, dest):
-    """HEAD plus the working tree's edits, deletions and untracked files."""
-    checkout(repo, "HEAD", dest)
+    """The working tree's tracked and untracked, not ignored, files."""
     files = git(repo, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
     for name in filter(None, files.split("\0")):
         src = repo / name
-        if src.is_file():
+        if src.is_file():  # a tracked file deleted in the working tree is not
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
-        elif (dest / name).exists():  # deleted in the working tree
-            (dest / name).unlink()
 
 
 def run_once(tree, workload, seed, seconds):
@@ -94,18 +96,16 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", required=True,
                     help="workload name; repeat for several")
     ap.add_argument("--seed", type=int, default=61)
-    ap.add_argument("--seconds", type=float, default=8.0)
     ap.add_argument("--pairs", type=int, default=10, help="at least 10")
-    ap.add_argument("--json", help="also write every run's result to this file")
     args = ap.parse_args(argv)
     if args.pairs < 10:
         ap.error("--pairs must be at least 10: a gain needs nine tenths of ten pairs")
 
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").strip())
-    metrics = json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((repo / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {"base": tmp / "base", "change": tmp / "change"}
-    all_results = {}
     try:
         checkout(repo, args.base, trees["base"])
         checkout_working_tree(repo, trees["change"])
@@ -115,24 +115,14 @@ def main(argv=None):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, args.seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, args.seed, seconds)
                 results.append(pair)
                 print(f"# {workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
                       + ", ".join(f"{s} wall_s={pair[s]['metrics']['wall_s']['value']:.3f}"
                                   for s in ("base", "change")), flush=True)
             report(workload, args.seed, metrics, results)
-            all_results[workload] = results
     finally:
-        for tree in trees.values():
-            if tree.exists():
-                subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
-                                str(tree)], capture_output=True)
-        subprocess.run(["git", "-C", str(repo), "worktree", "prune"], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"base": args.base, "seed": args.seed, "seconds": args.seconds,
-             "results": all_results}, indent=1))
     return 0
 
 

@@ -274,6 +274,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phigamma",
@@ -289,13 +290,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -269,24 +269,21 @@ class LaurentElement:
 
     def _times(self, other):
         ring = self.ring
-        pa, pb = self.pole_bound, other.pole_bound
-        pole_bound = pa + pb
-        if pole_bound:
-            # a coefficient at e is exact unless an unknown term of one factor
-            # (beyond its window) can pair with a deepest-pole term of the
-            # other; clipped here as the result's constructor would clip it
-            ma = self._effective_poles()
-            mb = other._effective_poles()
-            window = _clip(
-                ring,
-                tuple(
-                    min(wa - qb, wb - qa)
-                    for wa, wb, qa, qb in zip(self.window, other.window, ma, mb)
-                ),
-                pole_bound,
-            )
-        else:  # both windows are within the caps already
-            window = tuple(map(min, self.window, other.window))
+        pole_bound = self.pole_bound + other.pole_bound
+        # a coefficient at e is exact unless an unknown term of one factor
+        # (beyond its window) can pair with a deepest-pole term of the
+        # other.  It is clipped here, not in _trusted, because the products
+        # below stop at it, so the result needs no second pass over its terms
+        ma = self._effective_poles()
+        mb = other._effective_poles()
+        window = _clip(
+            ring,
+            tuple(
+                min(wa - qb, wb - qa)
+                for wa, wb, qa, qb in zip(self.window, other.window, ma, mb)
+            ),
+            pole_bound,
+        )
         pole_set = self.pole_set | other.pole_set
         support = {}
         if self.support and other.support:
@@ -344,16 +341,6 @@ class LaurentElement:
     def __pow__(self, n):
         if n < 0:
             return self.invert() ** (-n)
-        if len(self.support) == 1 and self.is_exact():
-            # (c X^e)^n = c^n X^(n e), exact, with n times the pole bound
-            ((e, c),) = self.support.items()
-            return LaurentElement._trusted(
-                self.ring,
-                {tuple(n * k for k in e): c**n},
-                n * self.pole_bound,
-                self.window,
-                self.pole_set if n else frozenset(),
-            )
         return power(self, n, self.ring.one(), operator.mul)
 
     def _coerce(self, other):

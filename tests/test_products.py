@@ -205,32 +205,33 @@ def test_zero_divisor_products_cancel():
     assert set(square.support) == {(2, 0), (0, 2)}
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
-def test_closed_form_power_equals_repeated_products(n):
+def _pole_term():
     ring = ring_for(3, [2, 1], ds=[1, 0], prec=8)
     alg = ring.coeffs
     c = (alg.gen(0) + alg.one()) * alg.t(alg.tsymbols[0])
     x = ring.monomial((-1, 2), c)  # a pole in X_a
     assert x.pole_set == frozenset({0})
-    expected = ring.one()
+    return x
+
+
+def _windowed_term():
+    x = ring_for(2, [1, 1], prec=8).var(0).truncated((3, INF))
+    assert len(x.support) == 1 and not x.is_exact()
+    return x  # X_a^4 lies past the window: its fourth power knows nothing
+
+
+@pytest.mark.parametrize("make", [_pole_term, _windowed_term])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_power_equals_repeated_products(make, n):
+    x = make()
+    expected = x.ring.one()
     for _ in range(n):
         expected = expected * x
     got = x**n
     assert got.window == expected.window
-    assert got.pole_bound == expected.pole_bound == n
+    assert got.pole_bound == expected.pole_bound == n * x.pole_bound
     assert got.pole_set == expected.pole_set
     assert flat(got) == flat(expected)
-
-
-def test_windowed_single_term_takes_the_general_path():
-    ring = ring_for(2, [1, 1], prec=8)
-    x = ring.var(0).truncated((3, INF))
-    assert len(x.support) == 1 and not x.is_exact()
-    # X_a^4 lies past the window: the power knows nothing there
-    fourth = x**4
-    assert fourth.window == (x * x * x * x).window == (3, INF)
-    assert not fourth.support
-    assert flat(x**2) == flat(x * x) == {((2, 0), ()): (1,)}
 
 
 def test_trusted_results_drop_terms_beyond_the_clipped_window():
