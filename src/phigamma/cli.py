@@ -295,7 +295,7 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         print(json.dumps({"error": f"cannot read config: {exc}"}))
         return EXIT_INPUT_ERROR
     try:
@@ -311,6 +311,7 @@ def main(argv=None):
         IndexError,
         TypeError,
         ValueError,
+        OverflowError,
         PrecisionError,
         NotImplementedError,
         NotInvertibleError,

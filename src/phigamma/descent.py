@@ -4,13 +4,14 @@ rank-1 module functors.
 The simultaneous Frobenius fixed-point problems here are solved exactly on a
 certified subwindow W' with p*W' <= W: a candidate supported in W' has its
 image supported in W, so the equation set is an exact finite F_p-linear
-system.  Because every implemented operator sends each basis "slot" (a
-monomial in the series variables, transcendentals, and extension generators)
-to a single slot with an invertible coefficient map, the system is solved by
-forced-zero propagation along slot chains instead of a large dense nullspace:
-a slot whose image coefficient is known to vanish must itself vanish, and
-iterating this leaves only slots fixed by every operator, where a small
-per-slot linear system over the finite part remains.
+system.  Every implemented operator sends each basis "slot" (a monomial in
+the series variables, transcendentals, and extension generators) to a single
+slot with an invertible coefficient map, and a slot that an operator moves
+never comes back: its chain leaves W', where the coefficient is 0, and
+injectivity forces every coefficient along it to 0 (see
+``solve_fixed_points``).  So instead of one large dense nullspace, the
+solver keeps the slots that every operator fixes and solves a small per-slot
+linear system over the finite part.
 
 Extensions of the base ring are towers of Artin-Schreier (y^p - y = a,
 Galois y -> y+1) and Kummer (y^e = a with e | p-1, Galois y -> zeta*y)
@@ -20,7 +21,9 @@ defining data allows and recorded as unavailable otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -45,6 +48,9 @@ class BudgetExceededError(ValueError):
 
 class SubwindowError(ValueError):
     pass
+
+
+MAX_SLOTS = 2**16  # slots in one fixed-point box
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +469,7 @@ class ExtensionTower:
 
 
 # ---------------------------------------------------------------------------
-# slot-chain fixed point solver
+# fixed point solver on slots
 
 
 class FrobFixedSystem:
@@ -485,17 +491,16 @@ class FrobFixedSystem:
             operators if operators is not None else range(ring.nvars)
         )
         p = ring.coeffs.p
-        if window is None:
-            window = ring.precision
-        if isinstance(window, int):
-            window = (window,) * ring.nvars
+        window = _sizes(
+            "window", ring.precision if window is None else window, ring.nvars
+        )
         if subwindow is None:
             subwindow = tuple(w // p for w in window)
-        if isinstance(subwindow, int):
-            subwindow = (subwindow,) * ring.nvars
-        self.window = tuple(window)
-        self.subwindow = tuple(subwindow)
-        self.t_cap = t_cap
+        self.window = window
+        self.subwindow = _sizes("subwindow", subwindow, ring.nvars)
+        self.t_cap = _size("t_cap", t_cap)
+        if quotient is not None:
+            quotient = (quotient[0], _size("quotient r", quotient[1]))
         self.quotient = quotient  # (alpha, r) or None
         for alpha in self.operators:
             if self.quotient and alpha == self.quotient[0]:
@@ -504,6 +509,21 @@ class FrobFixedSystem:
                 raise SubwindowError(
                     f"p*W' > W in direction {ring.variables[alpha]}"
                 )
+
+
+def _size(name, v):
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise ValueError(f"{name} must be a non-negative int")
+    return v
+
+
+def _sizes(name, value, n):
+    """``value`` as n non-negative ints; one int stands for all n."""
+    if isinstance(value, int):
+        value = (value,) * n
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ValueError(f"{name} must be an int or a list of {n} ints")
+    return tuple(_size(name, v) for v in value)
 
 
 def _ambient_parts(ambient):
@@ -614,36 +634,36 @@ def _build_slot_ops(sys: FrobFixedSystem):
 
 
 def _enumerate_slots(sys: FrobFixedSystem, rank):
+    """Every slot of the box, in lexicographic order; refuses more than
+    MAX_SLOTS of them before enumerating."""
     ring = sys.ring
-    alg = ring.coeffs
-    xranges = []
-    for v in range(ring.nvars):
-        if sys.quotient and v == sys.quotient[0]:
-            xranges.append(range(sys.quotient[1]))
-        else:
-            xranges.append(range(sys.subwindow[v] + 1))
-    tranges = [
-        m
-        for m in itertools.product(
-            *(range(sys.t_cap + 1) for _ in range(alg.total_d))
-        )
-        if sum(m) <= sys.t_cap
-    ] or [()]
-    if alg.total_d == 0:
-        tranges = [()]
-    towranges = (
-        itertools.product(*(range(d) for d in sys.tower.degrees))
-        if sys.tower
-        else [()]
+    total_d = ring.coeffs.total_d
+    xranges = [
+        range(sys.quotient[1]) if sys.quotient and v == sys.quotient[0]
+        else range(sys.subwindow[v] + 1)
+        for v in range(ring.nvars)
+    ]
+    towranges = list(
+        itertools.product(*(range(d) for d in sys.tower.degrees)) if sys.tower else [()]
     )
-    towranges = list(towranges)
-    slots = []
-    for coord in range(rank):
-        for tpow in towranges:
-            for xexp in itertools.product(*xranges):
-                for tmono in tranges:
-                    slots.append((coord, tpow, xexp, tmono))
-    return slots
+    # every range starts at 0; a t_cap past MAX_SLOTS is over the cap already
+    count = math.prod(r.stop for r in xranges) * rank * len(towranges)
+    if count * math.comb(min(sys.t_cap, MAX_SLOTS) + total_d, total_d) > MAX_SLOTS:
+        raise ValueError(f"the fixed-point box has more than {MAX_SLOTS} slots; "
+                         "shrink the subwindow, t_cap or quotient")
+    # t-monomials of degree <= t_cap: multisets of t_cap indices, index
+    # total_d standing for "no variable"
+    tranges = sorted(
+        tuple(m.count(k) for k in range(total_d))
+        for m in itertools.combinations_with_replacement(range(total_d + 1), sys.t_cap)
+    )
+    return [
+        (coord, tpow, xexp, tmono)
+        for coord in range(rank)
+        for tpow in towranges
+        for xexp in itertools.product(*xranges)
+        for tmono in tranges
+    ]
 
 
 def solve_fixed_points(sys: FrobFixedSystem):
@@ -657,60 +677,40 @@ def solve_fixed_points(sys: FrobFixedSystem):
     alg = ring.coeffs
     p = alg.p
     ops, rank = _build_slot_ops(sys)
-    slots = _enumerate_slots(sys, rank)
-    slotset = set(slots)
-
-    # validate that every image stays inside the certified window
-    for _, op in ops:
-        for s in slots:
-            (coord, tpow, xexp, tmono), _ = op(s)
-            for v, e in enumerate(xexp):
-                if sys.quotient and v == sys.quotient[0]:
-                    continue
-                if e > sys.window[v]:
-                    raise SubwindowError(
-                        "operator image escapes the certified window; "
-                        "shrink W' or grow W"
-                    )
-    alive = set(slotset)
-    changed = True
-    while changed:
-        changed = False
+    # The fixed space is supported on the slots that every operator fixes.
+    # On slots, phi_alpha is injective.  It sends the alpha-exponent x to
+    # p*x + c, every other exponent x to x + c', and each t-exponent m of
+    # factor alpha to p*m; c and c' are fixed by the coordinate and the tower
+    # powers, which phi_alpha leaves unchanged because e | p-1.  So a slot
+    # that moves never comes back: its chain leaves the box, into the
+    # certified window, below exponent 0 or past t_cap, and the coefficient
+    # there is 0; injectivity then forces every coefficient along the chain
+    # to 0.
+    fixed = []
+    for s in _enumerate_slots(sys, rank):
+        maps = []
         for _, op in ops:
-            images = {}
-            for s in alive:
-                u, _ = op(s)
-                if sys.quotient:
-                    qa, qr = sys.quotient
-                    if u[2][qa] >= qr:
-                        continue  # image annihilated in the quotient
-                images[u] = s
-            for s in list(alive):
-                u, _ = op(s)
-                if sys.quotient and u[2][sys.quotient[0]] >= sys.quotient[1]:
-                    continue  # no constraint from an annihilated image
-                if u != s and u not in alive and s in alive:
-                    alive.discard(s)
-                    changed = True
-            for u in list(alive):
-                src = images.get(u)
-                if src is None:
-                    alive.discard(u)
-                    changed = True
+            u, M = op(s)
+            if any(
+                e > sys.window[v]
+                for v, e in enumerate(u[2])
+                if not (sys.quotient and v == sys.quotient[0])
+            ):
+                raise SubwindowError(
+                    "operator image escapes the certified window; "
+                    "shrink W' or grow W"
+                )
+            if u == s:
+                maps.append(M)
+        if len(maps) == len(ops):
+            fixed.append((s, maps))
     basis = []
     unconfirmed = []
     ident = np.eye(alg.N, dtype=np.int64)
-    for s in sorted(alive):
-        rows = []
-        for _, op in ops:
-            u, M = op(s)
-            if u != s:
-                raise AssertionError("surviving slot is not operator-fixed")
-            rows.append((M - ident) % p)
-        if rows:
-            ns = gfp.nullspace(np.concatenate(rows, axis=0), p)
-        else:
-            ns = ident.copy()
+    for s, maps in fixed:
+        # a zero block first: with no operators every vector is fixed
+        rows = [0 * ident] + [(M - ident) % p for M in maps]
+        ns = gfp.nullspace(np.concatenate(rows), p)
         boundary = any(
             not (sys.quotient and v == sys.quotient[0])
             and sys.subwindow[v] > 0
@@ -754,7 +754,6 @@ def _slot_to_element(sys, slot, vec):
 
 def _recheck_fixed(sys, elements):
     """Independent soundness check: apply the real operators directly."""
-    ring = sys.ring
     results = []
     for idx, el in enumerate(elements):
         ok = True
@@ -767,29 +766,17 @@ def _recheck_fixed(sys, elements):
 
 
 def _apply_ambient_phi(sys, alpha, el):
-    ring = sys.ring
-    if sys.module:
-        coords = el
-        out = []
-        A = sys.module.phi_matrices[alpha]
-        imgs = [
-            sys.tower.apply_phi(alpha, x) if sys.tower else
-            make_phi(ring, alpha).apply(x)
-            for x in coords
-        ]
-        for i in range(sys.module.rank):
-            acc = sys.tower.from_base(ring.zero()) if sys.tower else ring.zero()
-            for j in range(sys.module.rank):
-                entry = A[i][j]
-                term = (
-                    sys.tower.scale(imgs[j], entry) if sys.tower else entry * imgs[j]
-                )
-                acc = sys.tower.add(acc, term) if sys.tower else acc + term
-            out.append(acc)
-        return out
-    if sys.tower:
-        return sys.tower.apply_phi(alpha, el)
-    return make_phi(ring, alpha).apply(el)
+    tower, module = sys.tower, sys.module
+    if module and not tower:
+        return module.act(("phi", alpha), el)
+    if not module:
+        return tower.apply_phi(alpha, el) if tower else make_phi(sys.ring, alpha).apply(el)
+    imgs = [tower.apply_phi(alpha, x) for x in el]
+    zero = tower.from_base(sys.ring.zero())
+    return [
+        functools.reduce(tower.add, map(tower.scale, imgs, row), zero)
+        for row in module.phi_matrices[alpha]
+    ]
 
 
 def _ambient_eq(sys, a, b):

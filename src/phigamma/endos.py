@@ -25,6 +25,7 @@ import operator
 import re
 
 from .coeff import CoeffElement, UndecidedError
+from .fields import power
 from .series import (
     INF,
     LaurentElement,
@@ -312,11 +313,7 @@ def _factor_endo(ring, f):
     if kind == "phi":
         if k < 0:
             raise ValueError("phi admits no inverse (monoid generator)")
-        endo = identity_endo(ring)
-        phi = make_phi(ring, alpha)
-        for _ in range(k):
-            endo = endo.compose(phi)
-        return endo
+        return power(make_phi(ring, alpha), k, identity_endo(ring), RingEndo.compose)
     if kind == "gamma":
         c = f[2]
         ck = PAdicUnitApprox(c.p, pow(c.residue, k, c.p**c.M) if k >= 0 else

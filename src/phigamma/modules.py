@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 
 from .coeff import NotInvertibleError
-from .endos import RingEndo, identity_endo, make_delta, make_gamma, make_phi
+from .endos import RingEndo, make_delta, make_gamma, make_phi
+from .fields import power
 from .series import (
     PAdicUnitApprox,
     PrecisionError,
@@ -223,42 +224,36 @@ def check_etale(D: PhiGammaModule):
     return report
 
 
-def _word_matrix(D, keys):
-    """Matrix of the composite T_{g1} o T_{g2} o ... (left acts last)."""
-    A = mat_identity(D.ring, D.rank)
-    endo = identity_endo(D.ring)
-    for key in keys:
-        A = mat_mul(A, mat_apply(endo, D.matrix(key)))
-        endo = endo.compose(D.endo(key))
-    return A
+def _word_matrix(D, g, h):
+    """Matrix of T_g o T_h by the cocycle rule A_g . sigma_g(A_h)."""
+    return mat_mul(D.matrix(g), mat_apply(D.endo(g), D.matrix(h)))
 
 
-def _inverse_generator(D, key):
-    """Matrix and endo of g^{-1}:  A_{g^{-1}} = sigma_g^{-1}(A_g^{-1})."""
-    kind, i = key
-    if kind == "phi":
-        raise ValueError("phi generators are not invertible group elements")
-    if kind == "gamma":
-        alpha, c, _ = D.gamma_generators[i]
-        inv_endo = make_gamma(D.ring, alpha, c.inverse())
-    else:
-        alpha, b, _ = D.delta_generators[i]
-        neg = tuple(PAdicUnitApprox(x.p, -x.residue, x.M) for x in b)
-        inv_endo = make_delta(D.ring, alpha, neg)
-    Ainv = mat_inverse(D.matrix(key))
-    return mat_apply(inv_endo, Ainv), inv_endo
+def _inverse_gamma_matrix(D, i):
+    """A_{gamma^{-1}} = gamma^{-1}(A_gamma^{-1})."""
+    alpha, c, A = D.gamma_generators[i]
+    return mat_apply(make_gamma(D.ring, alpha, c.inverse()), mat_inverse(A))
 
 
 def _delta_power_matrix(D, i, c: PAdicUnitApprox):
-    """A_{delta^c} via the integer representative of c, as a semilinear power."""
+    """A_{delta^c} for the integer representative of c.
+
+    By the cocycle rule, the pairs (A_{delta^m}, m) multiply as
+    (A_{delta^m}, m)(A_{delta^n}, n) = (A_{delta^m} . delta^m(A_{delta^n}), m + n),
+    and delta_{alpha,b}^m = delta_{alpha,m*b}; square-and-multiply then takes
+    O(log c) products.
+    """
     alpha, b, A = D.delta_generators[i]
-    endo = D.endo(("delta", i))
-    out = mat_identity(D.ring, D.rank)
-    acc_endo = identity_endo(D.ring)
-    for _ in range(c.residue):
-        out = mat_mul(out, mat_apply(acc_endo, A))
-        acc_endo = acc_endo.compose(endo)
-    return out
+
+    def mul(x, y):
+        (Am, m), (An, n) = x, y
+        bm = tuple(
+            m * v if isinstance(v, int) else PAdicUnitApprox(v.p, m * v.residue, v.M)
+            for v in b
+        )
+        return mat_mul(Am, mat_apply(make_delta(D.ring, alpha, bm), An)), m + n
+
+    return power((A, 1), c.residue, (mat_identity(D.ring, D.rank), 0), mul)[0]
 
 
 def _congruent_identity_mod_xdelta(D, A):
@@ -301,8 +296,8 @@ def check_relations(D: PhiGammaModule, check_semidirect=True):
     for a, b in itertools.combinations(phis, 2):
         record(
             f"phi_{labels[a]} phi_{labels[b]} = phi_{labels[b]} phi_{labels[a]}",
-            _word_matrix(D, [("phi", a), ("phi", b)]),
-            _word_matrix(D, [("phi", b), ("phi", a)]),
+            _word_matrix(D, ("phi", a), ("phi", b)),
+            _word_matrix(D, ("phi", b), ("phi", a)),
         )
     group_keys = [("gamma", i) for i in range(len(D.gamma_generators))]
     group_keys += [("delta", i) for i in range(len(D.delta_generators))]
@@ -310,8 +305,8 @@ def check_relations(D: PhiGammaModule, check_semidirect=True):
         for key in group_keys:
             record(
                 f"phi_{labels[a]} commutes with {key[0]}#{key[1]}",
-                _word_matrix(D, [("phi", a), key]),
-                _word_matrix(D, [key, ("phi", a)]),
+                _word_matrix(D, ("phi", a), key),
+                _word_matrix(D, key, ("phi", a)),
             )
     for k1, k2 in itertools.combinations(group_keys, 2):
         a1, a2 = D.key_alpha(k1), D.key_alpha(k2)
@@ -320,8 +315,8 @@ def check_relations(D: PhiGammaModule, check_semidirect=True):
         if a1 != a2 or same_delta or same_gamma:
             record(
                 f"{k1[0]}#{k1[1]} commutes with {k2[0]}#{k2[1]}",
-                _word_matrix(D, [k1, k2]),
-                _word_matrix(D, [k2, k1]),
+                _word_matrix(D, k1, k2),
+                _word_matrix(D, k2, k1),
             )
     if check_semidirect:
         for gi, (ga, c, _) in enumerate(D.gamma_generators):
@@ -329,7 +324,7 @@ def check_relations(D: PhiGammaModule, check_semidirect=True):
                 if ga != da:
                     continue
                 gkey, dkey = ("gamma", gi), ("delta", di)
-                Aginv, ginv_endo = _inverse_generator(D, gkey)
+                Aginv = _inverse_gamma_matrix(D, gi)
                 # lhs: gamma o delta o gamma^{-1}
                 lhs = mat_mul(
                     D.matrix(gkey),
@@ -401,8 +396,7 @@ def verify_val_zero(D: PhiGammaModule, alpha, key):
     v = a_g.val(alpha)
     # compatibility: phi_alpha(a_g) a_alpha = g(a_alpha) a_g, so
     # p*val(a_g) + val(a_alpha) = val(a_alpha) + val(a_g), forcing val = 0
-    phi_a = make_phi(D.ring, alpha)
-    lhs = phi_a.apply(a_g) * a_a
+    lhs = D.endo(("phi", alpha)).apply(a_g) * a_a
     rhs = D.endo(key).apply(a_a) * a_g
     residual = lhs - rhs
     p = D.ring.coeffs.p
@@ -446,6 +440,7 @@ class Lattice:
                 "(lattice must span the module after inverting X_Delta)"
             )
         self.ginv = mat_scale(mat_adjugate(self.gmatrix), det.invert())
+        self._certificate = None  # (D, dplusplus_certified_lattice(D, self))
 
     def scaled(self, k):
         """The lattice X_Delta^k . M (k >= 0)."""
@@ -494,7 +489,11 @@ def phi_s_denominator(D: PhiGammaModule, M: Lattice, r_max=None):
 
 def dplusplus_certified_lattice(D: PhiGammaModule, M: Lattice):
     """k = floor((r+1)/(p-1)) + 1 and the lattice X_Delta^k M, with the
-    direct containment phi_s(X_Delta^k M) in X_Delta^{k+1} M re-verified."""
+    direct containment phi_s(X_Delta^k M) in X_Delta^{k+1} M re-verified.
+
+    The certificate is kept on M for the D it was computed with."""
+    if M._certificate is not None and M._certificate[0] is D:
+        return M._certificate[1]
     p = D.ring.coeffs.p
     r = phi_s_denominator(D, M)
     k = (r + 1) // (p - 1) + 1
@@ -507,7 +506,9 @@ def dplusplus_certified_lattice(D: PhiGammaModule, M: Lattice):
             raise PrecisionError(
                 f"direct containment check returned {verdict} for k={k}"
             )
-    return {"r": r, "k": k, "lattice": Mk, "contained": True}
+    cert = {"r": r, "k": k, "lattice": Mk, "contained": True}
+    M._certificate = (D, cert)
+    return cert
 
 
 def in_dplusplus(D: PhiGammaModule, M: Lattice, x, k_max=6):
@@ -596,6 +597,8 @@ def base_change(D: PhiGammaModule, P):
 # ---------------------------------------------------------------------------
 # JSON (schema "pg_module")
 
+MAX_DIGITS = 64  # p-adic digits of a gamma or delta parameter (p**digits is formed)
+
 
 def _mat_to_json(A):
     return [laurent_to_json(x) for row in A for x in row]
@@ -635,6 +638,13 @@ def module_to_json(D: PhiGammaModule) -> dict:
     }
 
 
+def _digits_from_json(g):
+    M = int(g.get("digits", 8))
+    if not 1 <= M <= MAX_DIGITS:
+        raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {M}")
+    return M
+
+
 def module_from_json(ring: SeriesRingSpec, data: dict) -> PhiGammaModule:
     alg = ring.coeffs
     r = int(data["rank"])
@@ -644,7 +654,7 @@ def module_from_json(ring: SeriesRingSpec, data: dict) -> PhiGammaModule:
     }
     gamma = []
     for g in data.get("gamma", []):
-        M = int(g.get("digits", 8))
+        M = _digits_from_json(g)
         gamma.append(
             (
                 alg.label_index(g["alpha"]),
@@ -655,7 +665,7 @@ def module_from_json(ring: SeriesRingSpec, data: dict) -> PhiGammaModule:
     delta = []
     for g in data.get("delta", []):
         alpha = alg.label_index(g["alpha"])
-        M = int(g.get("digits", 8))
+        M = _digits_from_json(g)
         d_alpha = sum(1 for k in range(alg.total_d) if alg.t_owner[k] == alpha)
         if "b" in g:
             b = tuple(PAdicUnitApprox(p, int(x), M) for x in g["b"])

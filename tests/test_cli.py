@@ -1,7 +1,14 @@
+import contextlib
 import copy
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
 from phigamma import cli
@@ -191,3 +198,98 @@ def test_unknown_label_is_input_error(tmp_path, capsys):
     code, rep = run(capsys, "fixed-points", "--config", str(path))
     assert code == 2
     assert rep["error"] == "ValueError: unknown label 'z'; labels are a, b"
+
+
+# ---------------------------------------------------------------------------
+# bounded sizes
+
+
+ONE = {"pole_bound": 0, "terms": [{"exps": {}, "coeff": {
+    "denominator": [], "numerator": [{"fdelta_coeff": [1], "monomial": {}}]}}]}
+
+
+def gamma_delta_config(chi, digits):
+    """p = 5, one factor with a transcendental, a gamma and a delta on it."""
+    return {
+        "algebra": {"p": 5, "factors": [{"label": "a", "n": 1, "d": 1}]},
+        "precision": 8,
+        "module": {
+            "rank": 1,
+            "phi": {"a": [ONE]},
+            "gamma": [{"alpha": "a", "chi": chi, "digits": digits, "matrix": [ONE]}],
+            "delta": [{"alpha": "a", "b": [1], "digits": digits, "matrix": [ONE]}],
+        },
+    }
+
+
+def fixed_points_config(**sizes):
+    """p = 2, two factors with one transcendental each."""
+    factors = [{"label": lbl, "n": 1, "d": 1} for lbl in "ab"]
+    return {"algebra": {"p": 2, "factors": factors}, "precision": 8, **sizes}
+
+
+def run_config(command, cfg):
+    """(exit code, stdout, seconds) of one CLI run on ``cfg``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        buf = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([command, "--config", str(path)])
+        return code, buf.getvalue(), time.perf_counter() - start
+
+
+def test_semidirect_relation_with_large_chi():
+    # chi = 97,656 = (5^8 - 1)/4: delta^chi by square-and-multiply
+    code, out, seconds = run_config("check-module", gamma_delta_config(97656, 8))
+    assert code == 0 and seconds < 3
+    (relations,) = [c for c in json.loads(out)["checks"] if c["name"] == "relations"]
+    statuses = {r["relation"]: r["status"] for r in relations["checks"]}
+    assert statuses["gamma#0 delta#0 gamma#0^-1 = delta#0^chi"] == "pass"
+    assert set(statuses.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("fixed-points", fixed_points_config(t_cap=-1), "t_cap must be"),
+    ("fixed-points", fixed_points_config(window=2000, subwindow=1000), "slots"),
+    ("check-module", gamma_delta_config(2, 10**6), "digits must lie in 1..64"),
+])
+def test_out_of_range_sizes_are_input_errors(command, cfg, message):
+    code, out, seconds = run_config(command, cfg)
+    assert code == 2 and seconds < 1
+    assert message in json.loads(out)["error"]
+
+
+def test_unreadable_numbers_are_input_errors(tmp_path, capsys):
+    # an int past Python's 4300-digit conversion limit, and digits = Infinity
+    text = json.dumps(gamma_delta_config(7, 8))
+    path = tmp_path / "cfg.json"
+    for bad in (text.replace('"chi": 7', '"chi": ' + "9" * 5000),
+                text.replace('"digits": 8', '"digits": Infinity')):
+        path.write_text(bad)
+        code, rep = run(capsys, "check-module", "--config", str(path))
+        assert code == 2 and "error" in rep
+
+
+SIZES = st.one_of(
+    st.integers(-3, 40), st.integers(-10**30, 10**30), st.booleans(), st.none(),
+    st.floats(), st.text(max_size=2), st.lists(st.integers(-2, 40), max_size=3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t_cap=SIZES, window=SIZES, subwindow=SIZES)
+def test_fixed_points_sizes_fuzz(t_cap, window, subwindow):
+    cfg = fixed_points_config(t_cap=t_cap, window=window, subwindow=subwindow)
+    code, out, seconds = run_config("fixed-points", cfg)
+    assert code in (0, 1, 2, 3) and seconds < 5
+    json.loads(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chi=SIZES, digits=SIZES)
+def test_check_module_sizes_fuzz(chi, digits):
+    code, out, seconds = run_config("check-module", gamma_delta_config(chi, digits))
+    assert code in (0, 1, 2, 3) and seconds < 5
+    json.loads(out)

@@ -15,6 +15,7 @@ from phigamma import (
     functor_D_rank1,
     make_phi,
     parse_character,
+    rank_one_from_units,
     roundtrip_V_of_D,
     solve_fixed_points,
     solve_quotient_fixed_points,
@@ -84,6 +85,38 @@ def test_solver_partial_operator_set_brackets_enumeration():
     hi = lo + len(rep["unconfirmed"])
     assert 2**lo <= count <= 2**hi
     assert count == 2**3  # constants in X_a times {1, X_b, X_b^2}
+
+
+@pytest.mark.parametrize("p,degs,shift,c,dim", [
+    (2, [1, 1], (-1, 0), 1, 1),  # phi_a: x -> 2x - 1 fixes the slot X_a
+    (3, [1], (-2,), 1, 1),  # x -> 3x - 2 fixes the slot X_a
+    (3, [1], (-2,), 2, 0),  # X_a is fixed, but 2v = v has no solution v != 0
+    (3, [1], (-1,), 1, 0),  # x -> 3x - 1 fixes no slot
+])
+def test_solver_matches_enumeration_on_shifting_modules(p, degs, shift, c, dim):
+    # rank 1, phi_a acting by c X_a^shift and every other phi_b by 1
+    ring = ring_for(p, degs, prec=8)
+    scalars = {a: ring.one() for a in range(ring.nvars)}
+    scalars[0] = ring.monomial(shift, c)
+    D = rank_one_from_units(ring, scalars)
+    rep = solve_fixed_points(FrobFixedSystem(D, window=8, subwindow=2, t_cap=0))
+    assert rep["dimension"] == dim and not rep["unconfirmed"]
+    assert all(chk["fixed_under_all_operators"] for chk in rep["checks"])
+    count = sum(
+        all(D.act(("phi", a), [el]) == [el] for a in range(ring.nvars))
+        for el in all_box_elements(ring, (2,) * ring.nvars)
+    )
+    assert count == p**dim
+
+
+def test_solver_refuses_negative_and_oversized_boxes():
+    ring = ring_for(2, [1, 1], ds=[1, 1], prec=8)
+    for kwargs in ({"t_cap": -1}, {"window": -1}, {"subwindow": (2, -1)},
+                   {"window": 8.0}, {"subwindow": True}, {"window": (8,)}):
+        with pytest.raises(ValueError):
+            FrobFixedSystem(ring, **kwargs)
+    with pytest.raises(ValueError, match="slots"):
+        solve_fixed_points(FrobFixedSystem(ring, window=600, subwindow=300))
 
 
 def test_empty_operator_set_gives_full_subwindow():

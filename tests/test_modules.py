@@ -21,8 +21,18 @@ from phigamma import (
     torsion_free_check,
     verify_val_zero,
 )
-from phigamma.modules import base_change, mat_eq_window, mat_identity, phi_s_denominator
-from phigamma.series import SeriesRingSpec
+from phigamma.endos import identity_endo
+from phigamma.modules import (
+    PhiGammaModule,
+    _delta_power_matrix,
+    base_change,
+    mat_apply,
+    mat_eq_window,
+    mat_identity,
+    mat_mul,
+    phi_s_denominator,
+)
+from phigamma.series import SeriesRingSpec, digits_for_window
 
 
 def load_module(name):
@@ -179,3 +189,40 @@ def test_module_with_delta_generator_roundtrip():
     back = module_from_json(ring, module_to_json(D))
     assert back.delta_generators[0][1][0].residue == 1
     assert check_relations(back)["pass"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_delta_power_matrix_is_the_cocycle_product(p, rank):
+    # A_{delta^c} against the c-fold product A . delta(A) . delta^2(A) ...,
+    # with delta^k composed one factor at a time
+    ring = ring_for(p, [1], ds=[1], prec=6)
+    alg = ring.coeffs
+    X, t = ring.var(0), ring.constant(alg.t(alg.tsymbols[0]))
+    entries = [ring.one() + X * t, X * t, X * X + t, ring.one() + X]
+    A = [entries[:1]] if rank == 1 else [entries[:2], entries[2:]]
+    M = digits_for_window(p, 6) + 1
+    ident = mat_identity(ring, rank)
+    D = PhiGammaModule(ring, rank, {0: ident},
+                       delta_generators=[(0, (PAdicUnitApprox(p, 1 + p, M),), A)])
+    delta = D.endo(("delta", 0))
+    expected, endo = ident, identity_endo(ring)
+    for c in range(8):
+        got = _delta_power_matrix(D, 0, PAdicUnitApprox(p, c, M))
+        for row_g, row_e in zip(got, expected):
+            for g, e in zip(row_g, row_e):
+                assert g.window == e.window and g.pole_bound == e.pole_bound
+                assert g.eq_window(e)
+        expected = mat_mul(expected, mat_apply(endo, A))
+        endo = endo.compose(delta)
+
+
+def test_dplusplus_certificate_is_kept_per_module():
+    ring, D = load_module("module_cyclotomic_p2.json")
+    M = Lattice(D, mat_identity(ring, D.rank))
+    cert = dplusplus_certified_lattice(D, M)
+    assert dplusplus_certified_lattice(D, M) is cert
+    in_dplus(D, M, [ring.one()])
+    assert dplusplus_certified_lattice(D, M) is cert
+    other = module_from_json(ring, module_to_json(D))
+    assert dplusplus_certified_lattice(other, M) is not cert
