@@ -646,16 +646,18 @@ def _enumerate_slots(sys: FrobFixedSystem, rank):
     towranges = list(
         itertools.product(*(range(d) for d in sys.tower.degrees)) if sys.tower else [()]
     )
-    # every range starts at 0; a t_cap past MAX_SLOTS is over the cap already
+    # every range starts at 0; a degree past MAX_SLOTS puts a box with
+    # transcendentals over the cap, and one without them has only t = ()
+    t = min(sys.t_cap, MAX_SLOTS)
     count = math.prod(r.stop for r in xranges) * rank * len(towranges)
-    if count * math.comb(min(sys.t_cap, MAX_SLOTS) + total_d, total_d) > MAX_SLOTS:
+    if max(count, 1) * math.comb(t + total_d, total_d) > MAX_SLOTS:
         raise ValueError(f"the fixed-point box has more than {MAX_SLOTS} slots; "
                          "shrink the subwindow, t_cap or quotient")
     # t-monomials of degree <= t_cap: multisets of t_cap indices, index
     # total_d standing for "no variable"
     tranges = sorted(
         tuple(m.count(k) for k in range(total_d))
-        for m in itertools.combinations_with_replacement(range(total_d + 1), sys.t_cap)
+        for m in itertools.combinations_with_replacement(range(total_d + 1), t)
     )
     return [
         (coord, tpow, xexp, tmono)
@@ -685,7 +687,9 @@ def solve_fixed_points(sys: FrobFixedSystem):
     # that moves never comes back: its chain leaves the box, into the
     # certified window, below exponent 0 or past t_cap, and the coefficient
     # there is 0; injectivity then forces every coefficient along the chain
-    # to 0.
+    # to 0.  In a quotient, where X_alpha^r dies, the backward chain ends
+    # instead at a slot with no preimage in the box (non-integral, below 0
+    # or outside W'), whose equation forces 0 forward along the chain.
     fixed = []
     for s in _enumerate_slots(sys, rank):
         maps = []

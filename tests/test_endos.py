@@ -196,6 +196,28 @@ def test_word_mapping_a_variable_past_the_window(text):
     assert set(out.support) == {(0, 0), (0, 2)}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("k", range(8))
+def test_phi_power_word_is_the_k_fold_composite(p, k):
+    # phi(a)^k is taken by square-and-multiply; it must agree with the left
+    # fold ((1 o phi) o phi) o ... on windows, pole bounds, pole sets and values
+    ring = ring_for(p, [1, 1], ds=[1, 0], prec=8)
+    alg = ring.coeffs
+    phi = make_phi(ring, 0)
+    folded = identity_endo(ring)
+    for _ in range(k):
+        folded = folded.compose(phi)
+    word = parse_word(f"phi(a)^{k}", ring).to_endo(ring)
+    x, y, t = ring.var(0), ring.var(1), ring.constant(alg.t(alg.tsymbols[0]))
+    for a in (x, y, t, ring.monomial((-1, 0)) + y,
+              (ring.one() + x * t + x * y).truncated(5)):
+        got, expected = word.apply(a), folded.apply(a)
+        assert got.window == expected.window
+        assert got.pole_bound == expected.pole_bound
+        assert got.pole_set == expected.pole_set
+        assert got.eq_window(expected)
+
+
 def test_ring_endo_refuses_images_of_valuation_zero():
     ring = ring_for(2, [1], prec=8)
     with pytest.raises(ValueError, match="valuation >= 1"):
