@@ -13,7 +13,12 @@ the script prints each side's median and quartiles, the relative change of
 the medians, the share of pairs the working tree won (ties count for
 neither side), and whether that is a gain: at least nine tenths of the
 pairs won, and medians further apart than the base's interquartile range.
+With ``--trace`` it then makes one ``perfbench/run.py --trace 1`` run per
+side and prints base -> change for every per-layer metric of
+``BENCHMARK.json``, which shows in which layers a change gains or loses.
 Nothing is written into the repository's own files.
+
+    python scripts/bench_pairs.py --base HEAD --workload operators --trace
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ def checkout_working_tree(repo, dest):
             shutil.copy2(src, dest / name)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -90,6 +95,16 @@ def report(workload, seed, metrics, results):
               f"failed {sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}")
 
 
+def report_layers(workload, seed, metrics, traced):
+    print(f"\n{workload} (seed {seed}, one traced run per side), per round")
+    print(f"{'metric':<28} {'base':>12} {'change':>12} {'change':>8}")
+    for m in metrics:
+        name = m["name"]
+        base, new = (traced[side]["metrics"][name]["value"] for side in ("base", "change"))
+        rel = f"{new / base - 1:>+8.1%}" if base else f"{'':>8}"
+        print(f"{name:<28} {base:>12.5g} {new:>12.5g} {rel}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against")
@@ -97,6 +112,8 @@ def main(argv=None):
                     help="workload name; repeat for several")
     ap.add_argument("--seed", type=int, default=61)
     ap.add_argument("--pairs", type=int, default=10, help="at least 10")
+    ap.add_argument("--trace", action="store_true",
+                    help="then one traced run per side: the per-layer metrics")
     args = ap.parse_args(argv)
     if args.pairs < 10:
         ap.error("--pairs must be at least 10: a gain needs nine tenths of ten pairs")
@@ -121,6 +138,10 @@ def main(argv=None):
                       + ", ".join(f"{s} wall_s={pair[s]['metrics']['wall_s']['value']:.3f}"
                                   for s in ("base", "change")), flush=True)
             report(workload, args.seed, metrics, results)
+            if args.trace:
+                traced = {side: run_once(trees[side], workload, args.seed, seconds, 1)
+                          for side in ("base", "change")}
+                report_layers(workload, args.seed, bench["per_layer"], traced)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0

@@ -51,6 +51,30 @@ class UndecidedError(ArithmeticError):
     """Raised when a verdict cannot be certified at the given presentation."""
 
 
+# Exponents (series and t-monomial keys) are int64 in the product kernels.
+# Every stored exponent e has |e| <= EXP_BOUND, so a sum of two cannot leave
+# int64 unnoticed: the one sum that wraps, 2^63, reads -2^63, and
+# ``key_rows``, which reads every kernel result, refuses keys past the bound.
+EXP_BOUND = 2**62
+EXP_BOUND_TEXT = "exponents must lie in [-2^62, 2^62]"
+
+
+def check_exponent(e):
+    if not -EXP_BOUND <= e <= EXP_BOUND:
+        raise ValueError(f"exponent {e} out of range: {EXP_BOUND_TEXT}")
+
+
+def key_rows(keys):
+    """A kernel's result keys as lists of ints, refused past EXP_BOUND (a
+    wrapped 2^63 reads -2^63)."""
+    rows = keys.tolist()
+    if rows and rows[0] and (
+        max(map(max, rows)) > EXP_BOUND or min(map(min, rows)) < -EXP_BOUND
+    ):
+        raise ValueError(f"exponent out of range: {EXP_BOUND_TEXT}")
+    return rows
+
+
 # every algebra re-validates its moduli, and workloads reuse a few moduli many
 # times over: one Rabin test per (p, modulus)
 @functools.lru_cache(maxsize=4096)
@@ -262,34 +286,60 @@ class CoefficientAlgebra:
         the row ``(ka[i] + kb[j], va[i] * vb[j])``.  Pairs whose key exceeds
         ``limit`` (a length-K array, ``inf`` for no bound) in some entry are
         dropped.  Returns the surviving keys, each once, and their summed
-        vectors, reduced and nonzero.
+        vectors, reduced and nonzero; read the keys with ``key_rows``.
         """
-        p, N = self.p, self.N
         if len(ka) > len(kb):  # one left-multiplication matrix per row of
             ka, va, kb, vb = kb, vb, ka, va  # the shorter list
-        if len(ka) == 1:  # the keys of the longer list, shifted: all distinct
-            prods = vb @ (va[0] @ self._mul_map % p).reshape(N, N) % p
-            keys = kb + ka[0]
-            keep = prods.any(axis=1)
-            if limit is not None:
-                keep &= (keys <= limit).all(axis=1)
-            if keep.all():
-                return keys, prods
-            return keys[keep], prods[keep]
-        left = (va @ self._mul_map % p).reshape(len(va), N, N)
-        prods = (vb @ left % p).reshape(-1, N)
+        if len(ka) == 1:
+            return self._one_row_products(ka[0], va[0], kb, vb, limit)
+        prods = (vb @ self._left_maps(va) % self.p).reshape(-1, self.N)
         keys = (ka[:, None, :] + kb[None, :, :]).reshape(len(prods), -1)
+        return self._sum_per_key(keys, prods, limit)
+
+    def combine_rows(self, kc, vc, km, vm, owner, limit=None):
+        """A linear combination of row lists with row coefficients.
+
+        Row i of ``(kc, vc)`` multiplies the rows t of ``(km, vm)`` with
+        ``owner[t] == i``: pair t is ``(km[t] + kc[i], vm[t] * vc[i])``.  The
+        rows owned by one i must have distinct keys.  ``limit`` and the
+        result are as in ``mul_rows``, which this shares its pair products
+        and its grouping with.
+        """
+        if len(kc) == 1:
+            return self._one_row_products(kc[0], vc[0], km, vm, limit)
+        prods = np.einsum("tn,tnk->tk", vm, self._left_maps(vc)[owner]) % self.p
+        return self._sum_per_key(km + kc[owner], prods, limit)
+
+    def _left_maps(self, v):
+        """The left-multiplication matrices ``x @ map mod p`` of v's rows."""
+        return (v @ self._mul_map % self.p).reshape(len(v), self.N, self.N)
+
+    def _one_row_products(self, k0, v0, kb, vb, limit):
+        """One row times a list of rows with distinct keys: the shifted
+        keys stay distinct, so nothing is grouped."""
+        prods = vb @ (v0 @ self._mul_map % self.p).reshape(self.N, self.N) % self.p
+        keys = kb + k0
+        keep = prods.any(axis=1)
+        if limit is not None:
+            keep &= (keys <= limit).all(axis=1)
+        if not keep.all():
+            keys, prods = keys[keep], prods[keep]
+        return keys, prods
+
+    def _sum_per_key(self, keys, prods, limit):
+        """Rows with equal keys summed once; rows past ``limit`` and zero
+        sums dropped."""
         if limit is not None:
             keep = (keys <= limit).all(axis=1)
             keys, prods = keys[keep], prods[keep]
         if not len(keys):
             return keys, prods
         # sort the keys to group equal ones.  Each product is already below
-        # p, so a group's sum of at most na * nb of them is far below 2^63
+        # p, so a group's sum of at most len(keys) of them is far below 2^63
         order = np.lexsort(keys.T)
         keys, prods = keys[order], prods[order]
         starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-        keys, prods = keys[starts], np.add.reduceat(prods, starts) % p
+        keys, prods = keys[starts], np.add.reduceat(prods, starts) % self.p
         keep = prods.any(axis=1)
         return keys[keep], prods[keep]
 
@@ -470,6 +520,13 @@ def _num_add(alg, a, b):
     return out
 
 
+def _num_equal(a, b):
+    """Equality of two numerators, vector by vector (vectors are reduced)."""
+    return len(a) == len(b) and all(
+        np.array_equal(v, b.get(m, ())) for m, v in a.items()
+    )
+
+
 def _num_neg(alg, a):
     return {m: (-v) % alg.p for m, v in a.items()}
 
@@ -486,7 +543,7 @@ def _num_mul(alg, a, b):
     if not a or not b:
         return {}
     keys, vecs = alg.mul_rows(*_num_rows(alg, a), *_num_rows(alg, b))
-    return {tuple(k): v.copy() for k, v in zip(keys.tolist(), vecs)}
+    return {tuple(k): v.copy() for k, v in zip(key_rows(keys), vecs)}
 
 
 def _num_scale_fd(alg, a, vec):
@@ -499,6 +556,7 @@ def _num_frob(alg, a, alpha):
         new_mono = tuple(
             e * alg.p if alg.t_owner[i] == alpha else e for i, e in enumerate(mono)
         )
+        check_exponent(max(new_mono, default=0))
         out[new_mono] = alg.fd_frob(vec, alpha)
     return out
 
@@ -507,6 +565,8 @@ def _den_factor_frob(alg, factor, alpha):
     beta, poly = factor
     if beta != alpha:
         return factor
+    for mono, _ in poly:
+        check_exponent(max(mono, default=0) * alg.p)
     new_poly = tuple(
         sorted(
             (
@@ -608,11 +668,11 @@ class CoeffElement:
             except TypeError:
                 return NotImplemented
         if self.den == other.den:
-            a, b = self.num, other.num
-        else:
-            a = _num_mul(self.alg, self.num, other._den_as_num())
-            b = _num_mul(self.alg, other.num, self._den_as_num())
-        return not _num_add(self.alg, a, _num_neg(self.alg, b))
+            return _num_equal(self.num, other.num)
+        return _num_equal(
+            _num_mul(self.alg, self.num, other._den_as_num()),
+            _num_mul(self.alg, other.num, self._den_as_num()),
+        )
 
     def __hash__(self):
         raise TypeError("CoeffElement is not hashable")
@@ -852,6 +912,7 @@ def _mono_to_json(alg, mono):
 def _mono_from_json(alg, obj):
     mono = [0] * alg.total_d
     for sym, e in obj.items():
+        check_exponent(int(e))
         mono[alg.t_index[sym]] = int(e)
     return tuple(mono)
 

@@ -21,18 +21,24 @@ composition of functions: in ``A * B`` the factor ``B`` is applied first.
 from __future__ import annotations
 
 import ast
+import functools
 import operator
 import re
 
-from .coeff import CoeffElement, UndecidedError
+import numpy as np
+
+from .coeff import CoeffElement, UndecidedError, check_exponent
 from .fields import power
 from .series import (
     INF,
     LaurentElement,
     PAdicUnitApprox,
     SeriesRingSpec,
+    _support_from_rows,
     binomial_power,
     digits_for_window,
+    product_meta,
+    sum_meta,
 )
 
 
@@ -55,6 +61,24 @@ class RingEndo:
                     f"image of {ring.variables[alpha]} must have valuation >= 1"
                 )
         self._pow_cache = {}
+        self._mult_cache = {}  # (twisted t-exponents, moved exponents) -> rows
+        self._meta_cache = {}
+
+    @functools.cached_property
+    def _fixed(self):
+        """Per variable, whether its image is the variable itself: then its
+        exponents shift keys instead of multiplying."""
+        return tuple(_is_variable(img, alpha) for alpha, img in enumerate(self.var_images))
+
+    @functools.cached_property
+    def _t_scaled(self):
+        """(key columns, scales): t_k -> t_k^(p^e) (times its twist) where
+        its factor has Frobenius exponent e > 0; () when there is none."""
+        alg = self.ring.coeffs
+        return tuple(zip(*(
+            (self.ring.nvars + k, alg.p ** self.frob_exps[a])
+            for k, a in enumerate(alg.t_owner) if self.frob_exps[a]
+        )))
 
     # -- generator images ----------------------------------------------
 
@@ -87,24 +111,91 @@ class RingEndo:
             self._pow_cache[key] = cached
         return cached
 
+    def _twist_power(self, tw):
+        """The product of twist_k^(m_k) over the nonzero entries m_k of tw,
+        in k order (tw nonzero), cached under ("twists", tw)."""
+        key = ("twists", tw)
+        mult = self._pow_cache.get(key)
+        if mult is None:
+            t_owner = self.ring.coeffs.t_owner
+            for k, m in enumerate(tw):
+                if m:
+                    twist = self._power(("twist", k), self.twists[(t_owner[k], k)], m)
+                    mult = twist if mult is None else mult * twist
+            self._pow_cache[key] = mult
+        return mult
+
+    def _multiplier(self, tw, moved):
+        """(rows, element) of the series that the terms X^moved t^mono with
+        twisted t-exponents ``tw`` are multiplied by: the twist product times
+        the moved variables' image powers in variable order (element None
+        for 1); rows is None when a coefficient has a denominator.  Cached
+        per endomorphism, for the keys the inputs have used."""
+        key = (tw, moved)
+        cached = self._mult_cache.get(key)
+        if cached is None:
+            mult = self._twist_power(tw) if tw else None
+            for alpha, e in enumerate(moved):
+                if e:
+                    power_ = self._var_power(alpha, e)
+                    mult = power_ if mult is None else mult * power_
+            alg = self.ring.coeffs
+            K = self.ring.nvars + alg.total_d
+            if mult is None:  # the multiplier 1
+                rows = (np.zeros((1, K), dtype=np.int64), alg.fd_one()[None, :])
+            else:
+                rows = mult._rows()
+            if rows is not None:
+                keys, vecs = rows
+                rows = (keys.reshape(len(keys), K), vecs.reshape(len(keys), alg.N))
+            cached = self._mult_cache[key] = (rows, mult)
+        return cached
+
+    def _frobenius(self, vecs):
+        """The finite-part Frobenius x -> x^(p^e_alpha) on every factor; on
+        GF(p^n) it has order n, so e_alpha counts mod n."""
+        alg = self.ring.coeffs
+        for alpha, e in enumerate(self.frob_exps):
+            for _ in range(e % alg.degrees[alpha]):
+                vecs = vecs @ alg.frob_matrices[alpha].T % alg.p
+        return vecs
+
+    def _term_meta(self, cmeta, exps):
+        """The metadata of the image of one term c X^exps, where c's image
+        has metadata ``cmeta``: the product rule folded over the variable
+        powers in variable order, as the products would make it."""
+        key = (cmeta, exps)
+        meta = self._meta_cache.get(key)
+        if meta is None:
+            ring = self.ring
+            meta = cmeta
+            for alpha, e in enumerate(exps):
+                if not e:
+                    continue
+                if self._fixed[alpha]:
+                    vmeta = (
+                        (INF,) * ring.nvars,
+                        max(0, -e),
+                        frozenset((alpha,)) if e < 0 else frozenset(),
+                    )
+                else:
+                    vmeta = self._var_power(alpha, e).meta()
+                meta = product_meta(ring, meta, vmeta)
+            self._meta_cache[key] = meta
+        return meta
+
     # -- application ---------------------------------------------------
 
     def apply_coeff(self, c: CoeffElement) -> LaurentElement:
         """Image of a coefficient-ring element (a series, via the twists)."""
         ring = self.ring
         alg = ring.coeffs
-        out = None
-        for mono, vec in c.num.items():
-            img = self._image_of_num_term(mono, vec)
-            out = img if out is None else out + img
-        if out is None:
-            out = ring.zero()
+        zero = (0,) * ring.nvars
+        exact = (INF,) * ring.nvars
+        out = self._substitute([(zero, CoeffElement(alg, c.num, ()))], exact)
         for beta, poly in c.den:
-            img = ring.zero()
-            for mono, coeff in poly:
-                img = img + self._image_of_num_term(
-                    mono, (alg.fd_one() * coeff) % alg.p
-                )
+            num = {mono: (alg.fd_one() * coeff) % alg.p for mono, coeff in poly}
+            img = self._substitute([(zero, CoeffElement(alg, num, ()))], exact)
             verdict = img.unit_verdict()
             if verdict != "unit":
                 raise UndecidedError(
@@ -113,45 +204,133 @@ class RingEndo:
             out = out * img.invert()
         return out
 
-    def _image_of_num_term(self, mono, vec):
-        ring = self.ring
-        alg = ring.coeffs
-        v = vec
-        for alpha, e in enumerate(self.frob_exps):
-            for _ in range(e):
-                v = alg.fd_frob(v, alpha)
-        new_mono = list(mono)
-        mult = None  # the product of the twists, when one applies
-        for k, m in enumerate(mono):
-            if m == 0:
-                continue
-            alpha = alg.t_owner[k]
-            e = self.frob_exps[alpha]
-            new_mono[k] = m * alg.p**e
-            u = self.twists.get((alpha, k))
-            if u is not None:
-                twist = self._power(("twist", k), u, m)
-                mult = twist if mult is None else mult * twist
-        base = CoeffElement(alg, {tuple(new_mono): v}, ())
-        return ring.constant(base) if mult is None else mult.scale(base)
-
     def apply(self, a: LaurentElement) -> LaurentElement:
         if not self.ring.same_as(a.ring):
             raise ValueError("endomorphism and element live in different rings")
-        out = self.ring.zero()
-        for exps, c in a.support.items():
-            term = self.apply_coeff(c)
-            for alpha, e in enumerate(exps):
-                if e:
-                    term = term * self._var_power(alpha, e)
-            out = out + term
         # precision: substitution maps the unknown tail of a into terms of
         # valuation >= window + 1 in each variable (images preserve the
         # filtration), so a's window survives pessimistically
-        out = out.truncated(
-            tuple(min(wo, wa) for wo, wa in zip(out.window, a.window))
+        return self._substitute(a.support.items(), a.window)
+
+    def _substitute(self, terms, window):
+        """The image of the sum of ``terms`` ((exponents, coefficient)
+        pairs), truncated to ``window``.
+
+        Every t-row (t^mono, vector) of every coefficient without a
+        denominator becomes one constant row: the Frobenius of the vector,
+        keyed by the fixed variables' exponents and mono scaled by p^e.  It
+        pairs with the rows of its cached multiplier (``_multiplier``), and
+        one ``combine_rows`` call makes all products and sums equal keys.
+        A coefficient with a denominator has no rows: its term's image is
+        made by series products, as a sum of fractions needs, and added
+        into the support.  The window, pole bound and pole set are those of
+        the term-by-term sum: per term the sum rule over its t-rows (each
+        with its twist product's metadata), then the product rule over the
+        variable powers in variable order, then the sum rule over the terms
+        and the input window.  These rules are monotone, so every
+        multiplier is exact on its share of the result's window.
+        """
+        ring = self.ring
+        alg = ring.coeffs
+        nv, K = ring.nvars, ring.nvars + alg.total_d
+        constant = ((INF,) * nv, 0, frozenset())
+        metas = [(tuple(window), 0, frozenset())]
+        const_keys, const_vecs, blocks = [], [], []
+        fractions = []
+        products = False  # whether some row has a multiplier other than 1
+        twisted = [(alg.t_owner[k], k) in self.twists for k in range(alg.total_d)]
+        for exps, c in terms:
+            if c.den:
+                term = self.apply_coeff(c)
+                for alpha, e in enumerate(exps):
+                    if e:
+                        term = term * self._var_power(alpha, e)
+                metas.append(term.meta())
+                fractions.append(term.support)
+                continue
+            moved = tuple(0 if f else e for e, f in zip(exps, self._fixed))
+            shift = tuple(e if f else 0 for e, f in zip(exps, self._fixed))
+            products = products or any(moved) or bool(self.twists)
+            cmetas = []
+            for mono, vec in c.num.items():
+                tw = ()
+                if self.twists:
+                    tw = tuple(m if t else 0 for m, t in zip(mono, twisted))
+                    if not any(tw):
+                        tw = ()
+                rows, mult = self._multiplier(tw, moved)
+                cmetas.append(self._twist_power(tw).meta() if tw else constant)
+                if rows is None:  # a multiplier coefficient with a denominator
+                    fractions.append(self._fraction_rows(mult, shift, mono, vec))
+                    continue
+                const_keys.append(shift + mono)
+                const_vecs.append(vec)
+                blocks.append(rows)
+            cmeta = cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
+            metas.append(self._term_meta(cmeta, tuple(exps)))
+        out_window, pole_bound, pole_set = sum_meta(ring, metas)
+        support = {}
+        if blocks:
+            kc = np.array(const_keys, dtype=np.int64)
+            self._scale_t_keys(kc)
+            vc = self._frobenius(np.array(const_vecs))
+            limit = None
+            if any(w != INF for w in out_window):
+                limit = np.array(out_window + (INF,) * alg.total_d)
+            if not products:  # every row is its own image, under a distinct key
+                if limit is not None:
+                    keep = (kc <= limit).all(axis=1)
+                    kc, vc = kc[keep], vc[keep]
+                keys, vecs = kc, vc
+            elif len(blocks) == 1:
+                ((km, vm),) = blocks
+                keys, vecs = alg.combine_rows(kc, vc, km, vm, None, limit)
+            else:
+                km = np.concatenate([k for k, _ in blocks])
+                vm = np.concatenate([v for _, v in blocks])
+                owner = np.repeat(np.arange(len(blocks)), [len(k) for k, _ in blocks])
+                keys, vecs = alg.combine_rows(kc, vc, km, vm, owner, limit)
+            support = _support_from_rows(ring, keys, vecs)
+        finite = [(i, w) for i, w in enumerate(out_window) if w != INF]
+        for part in fractions:
+            for e, c in part.items():
+                if any(e[i] > w for i, w in finite):
+                    continue
+                cur = support.get(e)
+                s = c if cur is None else cur + c
+                if s.is_zero():
+                    support.pop(e, None)
+                else:
+                    support[e] = s
+        return LaurentElement._trusted(
+            ring, support, pole_bound, out_window, pole_set, clipped=True
         )
-        return out
+
+    def _scale_t_keys(self, keys):
+        """t-exponents times p^e_alpha, in place; refused past EXP_BOUND."""
+        if not self._t_scaled:
+            return
+        cols, scale = self._t_scaled
+        t = keys[:, cols]
+        top = int(t.max())
+        if top:
+            check_exponent(top * max(scale))
+            keys[:, cols] = t * np.array(scale, dtype=np.int64)
+
+    def _fraction_rows(self, mult, shift, mono, vec):
+        """The support of mult X^shift (t^mono', Frob(vec)), made term by
+        term: ``mult`` has a coefficient with a denominator."""
+        alg = self.ring.coeffs
+        key = np.array([shift + mono], dtype=np.int64)
+        self._scale_t_keys(key)
+        key = key[0].tolist()
+        row = CoeffElement(
+            alg, {tuple(key[self.ring.nvars:]): self._frobenius(vec[None, :])[0]}, ()
+        )
+        return {
+            tuple(x + s for x, s in zip(e, shift)): c * row
+            for e, c in mult.support.items()
+        }
 
     # -- composition ---------------------------------------------------
 
@@ -182,6 +361,19 @@ class RingEndo:
             f"RingEndo(frob_exps={self.frob_exps}, "
             f"twisted={sorted(k for k in self.twists)})"
         )
+
+
+def _is_variable(img, alpha):
+    """Whether ``img`` is exactly the variable X_alpha."""
+    if len(img.support) != 1 or img.pole_bound:
+        return False
+    ((exps, c),) = img.support.items()
+    if exps[alpha] != 1 or sum(exps) != 1 or min(exps) < 0 or c.den or len(c.num) != 1:
+        return False
+    ((mono, vec),) = c.num.items()
+    return not any(mono) and vec.tolist() == [1] + [0] * (len(vec) - 1) and all(
+        w == INF for w in img.window
+    )
 
 
 # ---------------------------------------------------------------------------

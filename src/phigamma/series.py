@@ -30,11 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import (
+    EXP_BOUND,
     CoeffElement,
     CoefficientAlgebra,
     NotInvertibleError,
+    check_exponent,
     element_from_json,
     element_to_json,
+    key_rows,
 )
 from .fields import power
 
@@ -156,6 +159,42 @@ def _clip(ring, window, pole_bound):
     ])
 
 
+def product_meta(ring, a, b):
+    """The (window, pole bound, pole set) of a product of elements with
+    metadata ``a`` and ``b``.
+
+    A coefficient at e is exact unless an unknown term of one factor (beyond
+    its window) can pair with a deepest-pole term of the other, so each
+    window entry loses the other factor's pole bound where that variable is
+    in its pole set; the result is clipped to the caps less the poles.  The
+    rule is monotone: a smaller window, a larger pole bound or a larger pole
+    set in a factor never gives a larger window.
+    """
+    (wa, pa, sa), (wb, pb, sb) = a, b
+    pole_bound = pa + pb
+    if sa or sb:
+        wa = [x - pb if i in sb else x for i, x in enumerate(wa)]
+        wb = [y - pa if i in sa else y for i, y in enumerate(wb)]
+    window = tuple([
+        INF if w == INF else min(w, cap - pole_bound)
+        for w, cap in zip(map(min, wa, wb), ring.precision)
+    ])
+    return window, pole_bound, sa | sb
+
+
+def sum_meta(ring, metas):
+    """The (window, pole bound, pole set) of a sum of elements with the given
+    metadata, added in any order (``__add__`` and ``_trusted``): the least
+    window clipped to the caps less the largest pole bound."""
+    windows, bounds, sets = zip(*metas)
+    pole_bound = max(bounds)
+    return (
+        _clip(ring, tuple(map(min, zip(*windows))), pole_bound),
+        pole_bound,
+        frozenset().union(*sets),
+    )
+
+
 class LaurentElement:
     __slots__ = ("ring", "support", "pole_bound", "window", "pole_set")
 
@@ -163,6 +202,8 @@ class LaurentElement:
         self.ring = ring
         self.pole_bound = pole_bound
         self.pole_set = frozenset(pole_set)
+        if pole_bound > EXP_BOUND:
+            check_exponent(pole_bound)
         window = _clip(ring, window, pole_bound)
         clean = {}
         for exps, c in support.items():
@@ -170,6 +211,8 @@ class LaurentElement:
                 continue
             if any(e > w for e, w in zip(exps, window)):
                 continue
+            if max(exps) > EXP_BOUND:
+                check_exponent(max(exps))
             for i, e in enumerate(exps):
                 if e < 0:
                     if e < -pole_bound:
@@ -207,6 +250,10 @@ class LaurentElement:
         return el
 
     # -- inspection ----------------------------------------------------
+
+    def meta(self):
+        """(window, pole bound, pole set): what product_meta and sum_meta fold."""
+        return self.window, self.pole_bound, self.pole_set
 
     def is_exact(self):
         return all(w == INF for w in self.window)
@@ -257,11 +304,6 @@ class LaurentElement:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def _effective_poles(self):
-        return tuple(
-            self.pole_bound if i in self.pole_set else 0 for i in range(self.ring.nvars)
-        )
-
     def __mul__(self, other):
         other = self._coerce(other)
         self._require_ring(other)
@@ -269,22 +311,9 @@ class LaurentElement:
 
     def _times(self, other):
         ring = self.ring
-        pole_bound = self.pole_bound + other.pole_bound
-        # a coefficient at e is exact unless an unknown term of one factor
-        # (beyond its window) can pair with a deepest-pole term of the
-        # other.  It is clipped here, not in _trusted, because the products
+        # the window is clipped here, not in _trusted, because the products
         # below stop at it, so the result needs no second pass over its terms
-        ma = self._effective_poles()
-        mb = other._effective_poles()
-        window = _clip(
-            ring,
-            tuple(
-                min(wa - qb, wb - qa)
-                for wa, wb, qa, qb in zip(self.window, other.window, ma, mb)
-            ),
-            pole_bound,
-        )
-        pole_set = self.pole_set | other.pole_set
+        window, pole_bound, pole_set = product_meta(ring, self.meta(), other.meta())
         support = {}
         if self.support and other.support:
             rows_a, rows_b = self._rows(), other._rows()
@@ -393,24 +422,53 @@ class LaurentElement:
 
     def eq_window(self, other):
         """Equality of all coefficients on the common certified window."""
-        other = self._coerce(other)
-        diff = self - other
-        return not diff.support
+        return self._agrees_on_window(self._coerce(other))[0]
 
     def __eq__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        diff = self - other
-        if diff.support:
+        equal, window = self._agrees_on_window(other)
+        if not equal:
             return False
-        if diff.is_exact():
+        if all(w == INF for w in window):
             return True
         raise PrecisionError(
             "elements agree on the certified window but are not exact; "
             "use eq_window for window-level comparison"
         )
+
+    def _agrees_on_window(self, other):
+        """(whether the coefficients agree, the window they are compared on).
+
+        The window is that of ``self - other``: the least window clipped to
+        the caps less the larger pole bound.  The coefficients are compared
+        term by term, without forming the difference.
+        """
+        self._require_ring(other)
+        window = _clip(
+            self.ring,
+            tuple(map(min, self.window, other.window)),
+            max(self.pole_bound, other.pole_bound),
+        )
+        finite = [(i, w) for i, w in enumerate(window) if w != INF]
+        theirs = other.support
+        count = 0
+        for e, c in self.support.items():
+            if finite and any(e[i] > w for i, w in finite):
+                continue
+            d = theirs.get(e)
+            if d is None or not c == d:
+                return False, window
+            count += 1
+        if finite:
+            count -= sum(
+                all(e[i] <= w for i, w in finite) for e in theirs
+            )
+        else:
+            count -= len(theirs)
+        return count == 0, window
 
     def __hash__(self):
         raise TypeError("LaurentElement is not hashable")
@@ -550,7 +608,7 @@ def _support_from_rows(ring, keys, vecs):
     each vector is copied, so the support holds no view of the batch."""
     nv = ring.nvars
     nums = {}
-    for key, vec in zip(keys.tolist(), vecs):
+    for key, vec in zip(key_rows(keys), vecs):
         e = tuple(key[:nv])
         num = nums.get(e)
         if num is None:

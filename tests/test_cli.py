@@ -317,3 +317,72 @@ def test_check_module_sizes_fuzz(chi, digits):
     code, out, seconds = run_config("check-module", gamma_delta_config(chi, digits))
     assert code in (0, 1, 2, 3) and seconds < 30
     json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# apply-op: exponents past int64, and a fuzz test over words and precisions
+
+
+def test_apply_op_exponents_past_int64_are_refused():
+    # over p = 2, phi(a)^k sends X_a to X_a^(2^k): 2^62 is the largest
+    # exponent kept, and every larger one is refused instead of wrapping
+    cfg = json.loads((DATA / "apply_op_example.json").read_text())
+    code, out, _ = run_config("apply-op", {**cfg, "word": "phi(a)^62"})
+    assert code == 0
+    (term,) = json.loads(out)["result"]["terms"]
+    assert term["exps"] == {"X_a": 2**62}
+    for k in (63, 64, 1000):
+        code, out, _ = run_config("apply-op", {**cfg, "word": f"phi(a)^{k}"})
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            "ValueError: exponent out of range: exponents must lie in [-2^62, 2^62]"
+        )
+
+
+def fuzz_series():
+    """t_a X_a + X_b^2 + 3 X_a^2 X_b over a factor with a transcendental."""
+    def term(exps, coeff, mono):
+        return {"exps": exps, "coeff": {"denominator": [], "numerator": [
+            {"fdelta_coeff": [coeff], "monomial": mono}]}}
+    return {"pole_bound": 0, "window": {"X_a": None, "X_b": None}, "terms": [
+        term({"X_a": 1}, 1, {"t_a_1": 1}), term({"X_b": 2}, 1, {}),
+        term({"X_a": 2, "X_b": 1}, 3, {}),
+    ]}
+
+
+# the numeric-parameter grammar: digits, p, + - * (binary and unary),
+# parentheses and ^ with a literal exponent
+EXPRS = st.recursive(
+    st.one_of(st.integers(0, 200).map(str), st.just("p")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join),
+        inner.map(lambda x: f"-{x}"),
+        inner.map(lambda x: f"({x})"),
+        st.tuples(inner, st.integers(0, 6)).map(lambda xk: f"({xk[0]})^{xk[1]}"),
+    ),
+    max_leaves=6,
+)
+FACTORS = st.one_of(
+    st.tuples(st.sampled_from("ab"), st.integers(0, 200)).map(
+        lambda lk: f"phi({lk[0]})^{lk[1]}"),
+    st.tuples(st.sampled_from("ab"), EXPRS, st.integers(-2, 2)).map(
+        lambda lek: f"gamma({lek[0]}; {lek[1]})^{lek[2]}"),
+    st.tuples(EXPRS, st.integers(-2, 2)).map(lambda ek: f"delta(a; {ek[0]})^{ek[1]}"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), precision=st.integers(1, 32),
+       factors=st.lists(FACTORS, min_size=1, max_size=3))
+def test_apply_op_fuzz(p, precision, factors):
+    cfg = {
+        "algebra": {"p": p, "factors": [{"label": "a", "n": 1, "d": 1},
+                                        {"label": "b", "n": 1, "d": 0}]},
+        "precision": precision,
+        "word": " * ".join(factors),
+        "series": fuzz_series(),
+    }
+    code, out, seconds = run_config("apply-op", cfg)
+    assert code in (0, 1, 2, 3) and seconds < 30
+    assert "Traceback" not in out
+    json.loads(out)

@@ -1,10 +1,14 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ring_for
 from phigamma import (
     INF,
+    CoeffElement,
     LaurentElement,
     OperatorWord,
     PAdicUnitApprox,
@@ -20,6 +24,7 @@ from phigamma import (
     verify_commutation,
 )
 from phigamma.oracles import DensePolynomial, dense_substitute
+from phigamma.series import laurent_to_json
 
 
 def chi(p, r, M=5):
@@ -240,3 +245,182 @@ def test_identity_endo_is_neutral():
     a = ring.monomial((1,), ring.coeffs.random_element(rng))
     assert ident.compose(phi).apply(a).eq_window(phi.apply(a))
     assert phi.compose(ident).apply(a).eq_window(phi.apply(a))
+
+
+# ---------------------------------------------------------------------------
+# the substitution kernel against the term-by-term loop it replaces
+
+
+def reference_apply(endo, a):
+    """``endo`` applied to ``a`` one term at a time: the image of each
+    coefficient is a sum of series, multiplied by each variable's image
+    power in turn and added into the result."""
+    ring = endo.ring
+    alg = ring.coeffs
+    p = alg.p
+
+    def image_of_num_term(mono, vec):
+        v = vec
+        for alpha, e in enumerate(endo.frob_exps):
+            for _ in range(e):
+                v = alg.fd_frob(v, alpha)
+        new_mono = list(mono)
+        mult = None
+        for k, m in enumerate(mono):
+            if m == 0:
+                continue
+            alpha = alg.t_owner[k]
+            new_mono[k] = m * p ** endo.frob_exps[alpha]
+            u = endo.twists.get((alpha, k))
+            if u is not None:
+                mult = u**m if mult is None else mult * u**m
+        base = CoeffElement(alg, {tuple(new_mono): v}, ())
+        return ring.constant(base) if mult is None else mult.scale(base)
+
+    def apply_coeff(c):
+        out = None
+        for mono, vec in c.num.items():
+            img = image_of_num_term(mono, vec)
+            out = img if out is None else out + img
+        if out is None:
+            out = ring.zero()
+        for _, poly in c.den:
+            img = ring.zero()
+            for mono, coeff in poly:
+                img = img + image_of_num_term(mono, alg.fd_one() * coeff % p)
+            out = out * img.invert()
+        return out
+
+    out = ring.zero()
+    for exps, c in a.support.items():
+        term = apply_coeff(c)
+        for alpha, e in enumerate(exps):
+            if e:
+                term = term * endo.var_images[alpha] ** e
+        out = out + term
+    return out.truncated(tuple(min(wo, wa) for wo, wa in zip(out.window, a.window)))
+
+
+SCALED = "X_a -> (1 + t) X_a"
+# (p, degrees, transcendentals per factor, precision, words)
+KERNEL_CASES = (
+    (2, (1, 1), (1, 0), 6, (
+        "phi(a)", "gamma(b; 3)", "delta(a; 1)", "phi(a) * delta(a; 1)", SCALED,
+        "delta(a; 1) * gamma(a; 1+p) * phi(b)", "gamma(a; 3) * delta(a; 1)^2",
+    )),
+    (3, (2, 1), (0, 2), 5, (
+        "phi(b)", "phi(a)", "delta(b; 2, 1)", "gamma(a; 4) * delta(b; 1, 0)",
+        "phi(b) * delta(b; 0, 1) * phi(a)",
+    )),
+    (3, (1,), (1,), 8, ("phi(a)^2", "delta(a; 1) * phi(a)", "gamma(a; 2) * delta(a; 2)")),
+)
+WORDS = [(case, word) for case in range(len(KERNEL_CASES)) for word in KERNEL_CASES[case][4]]
+
+
+def kernel_endo(ring, word):
+    """The endomorphism of ``word``; SCALED names X_a -> (1 + t) X_a, whose
+    negative powers have coefficients with a denominator."""
+    if word != SCALED:
+        return parse_word(word, ring).to_endo(ring)
+    alg = ring.coeffs
+    t = ring.constant(alg.t(alg.tsymbols[0]))
+    images = [(ring.one() + t) * ring.var(0)] + [ring.var(i) for i in range(1, ring.nvars)]
+    return RingEndo(ring, images, (0,) * ring.nvars)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_ring(case):
+    p, degs, ds, prec, _ = KERNEL_CASES[case]
+    return ring_for(p, list(degs), list(ds), prec=prec)
+
+
+def random_input(ring, rng, with_fraction, poles=None):
+    """Up to five terms, exponents in [-2, 3] with the negative ones in a
+    pole set (drawn unless given), coefficients with up to three t-terms, a
+    drawn window and pole bound; ``with_fraction`` divides one coefficient
+    by 1 + t."""
+    alg = ring.coeffs
+    if poles is None:
+        poles = frozenset(i for i in range(ring.nvars) if rng.random() < 0.5)
+    support = {}
+    for _ in range(rng.randrange(6)):
+        exps = tuple(rng.randrange(-2 if i in poles else 0, 4) for i in range(ring.nvars))
+        c = alg.random_element(rng, tdeg=2, terms=rng.randrange(1, 4))
+        if not c.is_zero():
+            support[exps] = c
+    if with_fraction and support and alg.total_d:
+        e = next(iter(support))
+        support[e] = support[e] * (alg.one() + alg.t(alg.tsymbols[-1])).invert()
+    pole_bound = max([0] + [-x for e in support for x in e]) + rng.randrange(2)
+    window = tuple(rng.choice([INF, 2, 3, 5]) for _ in range(ring.nvars))
+    return LaurentElement(ring, support, pole_bound, window, poles)
+
+
+def assert_same_image(got, expected):
+    """Same window, pole bound, pole set and coefficient values; the same
+    JSON unless a coefficient is a fraction, whose numerator and
+    denominator (never reduced) depend on the order its parts were added."""
+    assert got.window == expected.window
+    assert got.pole_bound == expected.pole_bound
+    assert got.pole_set == expected.pole_set
+    assert got.support.keys() == expected.support.keys()
+    assert all(c == expected.support[e] for e, c in got.support.items())
+    if not any(c.den for el in (got, expected) for c in el.support.values()):
+        assert laurent_to_json(got) == laurent_to_json(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case_word=st.sampled_from(WORDS), seed=st.integers(0, 2**32 - 1),
+       with_fraction=st.booleans())
+def test_apply_matches_the_term_loop(case_word, seed, with_fraction):
+    case, word = case_word
+    ring = kernel_ring(case)
+    endo = kernel_endo(ring, word)
+    rng = random.Random(seed)
+    for _ in range(3):  # the caches fill on the first input and serve the rest
+        a = random_input(ring, rng, with_fraction)
+        assert_same_image(endo.apply(a), reference_apply(endo, a))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_with_multipliers_that_carry_a_denominator(seed):
+    # X_a^-k maps to ((1 + t) X_a)^-k, whose coefficients are fractions: those
+    # rows are made term by term and added into the kernel's support
+    ring = kernel_ring(0)
+    endo = kernel_endo(ring, SCALED)
+    rng = random.Random(seed)
+    a = random_input(ring, rng, with_fraction=seed % 2, poles=frozenset({0}))
+    a = a + ring.monomial((-1, 1), ring.coeffs.random_element(rng, tdeg=1, terms=2))
+    assert_same_image(endo.apply(a), reference_apply(endo, a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=st.sampled_from(["phi(a)", "phi(b)", "gamma(a; 1+p)", "gamma(b; 2)",
+                             "phi(a) * gamma(b; 2) * phi(b)", "gamma(a; 2) * phi(a)"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_dense_substitution(word, seed):
+    # GF(3) coefficients, no poles: on the box [0, 6]^2 the image is the
+    # substitution of the images truncated to the box
+    p, W = 3, 6
+    ring = ring_for(p, [1, 1], prec=W)
+    endo = parse_word(word, ring).to_endo(ring)
+    rng = random.Random(seed)
+    shape = (W + 1, W + 1)
+    support = {}
+    for _ in range(rng.randrange(1, 6)):
+        support[(rng.randrange(4), rng.randrange(4))] = ring.coeffs.from_int(rng.randrange(1, p))
+    window = tuple(rng.choice([INF, 3, W]) for _ in range(2))
+    a = LaurentElement(ring, support, 0, window)
+    out = endo.apply(a)
+
+    def dense(el):
+        return DensePolynomial.from_terms(p, shape, {
+            e: int(c.constant_fd()[0]) for e, c in el.support.items()
+            if all(x < s for x, s in zip(e, shape))
+        })
+
+    images = [dense(img) for img in endo.var_images]
+    expected = dense_substitute(dense(a), images).coeffs
+    got = dense(out).coeffs
+    box = tuple(slice(0, W + 1 if w == INF else w + 1) for w in out.window)
+    assert (got[box] == expected[box]).all()
