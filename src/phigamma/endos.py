@@ -12,6 +12,22 @@ The generator actions implemented:
     gamma_alpha(c):   X_alpha -> (1+X_alpha)^c - 1, coefficients fixed
     delta_{alpha,b}:  t_{alpha,i} -> (1+X_alpha)^{b_i} t_{alpha,i}, rest fixed
 
+Application is substitution in one kernel call.  Each t-row (t^m, vector)
+of each input term c X^e becomes a constant row: the Frobenius of the
+vector, keyed by t^(m p^e) and by the exponents of the variables that the
+endomorphism maps to themselves (a key shift, not a product).  Its
+multiplier is the product of the twist powers of t^m and the image powers
+of the moved variables, cached on the endomorphism for the keys the inputs
+use.  ``CoefficientAlgebra.combine_rows`` makes every row-times-multiplier
+product in one batch and sums equal keys once.  The window, pole bound and
+pole set are folded from metadata alone, in the order of the term-by-term
+substitution: the sum rule over a coefficient's t-rows, the product rule
+over the variable powers in variable order, the sum rule over the terms
+and the input window.  Both rules are monotone, so each multiplier is exact
+on its part of the folded window and the values there are those of the
+term-by-term sum.  Coefficients with a denominator have no rows; their
+images are made by series products and added into the result.
+
 Composition is available in closed form, and formal words in the generators
 support a small textual syntax for the command line, e.g.
 ``"phi(a)^2 * gamma(a; 1+p) * delta(b; 0,1)"``.  A word acts like a
@@ -27,7 +43,7 @@ import re
 
 import numpy as np
 
-from .coeff import CoeffElement, UndecidedError, check_exponent
+from .coeff import EXP_BOUND, CoeffElement, UndecidedError, check_exponent
 from .fields import power
 from .series import (
     INF,
@@ -61,6 +77,7 @@ class RingEndo:
                     f"image of {ring.variables[alpha]} must have valuation >= 1"
                 )
         self._pow_cache = {}
+        self._mono_cache = {}
         self._mult_cache = {}  # (twisted t-exponents, moved exponents) -> rows
         self._meta_cache = {}
 
@@ -70,15 +87,17 @@ class RingEndo:
         exponents shift keys instead of multiplying."""
         return tuple(_is_variable(img, alpha) for alpha, img in enumerate(self.var_images))
 
-    @functools.cached_property
-    def _t_scaled(self):
-        """(key columns, scales): t_k -> t_k^(p^e) (times its twist) where
-        its factor has Frobenius exponent e > 0; () when there is none."""
-        alg = self.ring.coeffs
-        return tuple(zip(*(
-            (self.ring.nvars + k, alg.p ** self.frob_exps[a])
-            for k, a in enumerate(alg.t_owner) if self.frob_exps[a]
-        )))
+    def _image_mono(self, mono):
+        """The t-exponents of the image of t^mono: each times p^e, e the
+        Frobenius exponent of its factor; cached, refused past EXP_BOUND."""
+        out = self._mono_cache.get(mono)
+        if out is None:
+            alg = self.ring.coeffs
+            out = tuple(m * alg.p ** self.frob_exps[a] for m, a in zip(mono, alg.t_owner))
+            if out and max(out) > EXP_BOUND:
+                check_exponent(max(out))
+            self._mono_cache[mono] = out
+        return out
 
     # -- generator images ----------------------------------------------
 
@@ -127,10 +146,10 @@ class RingEndo:
 
     def _multiplier(self, tw, moved):
         """(rows, element) of the series that the terms X^moved t^mono with
-        twisted t-exponents ``tw`` are multiplied by: the twist product times
-        the moved variables' image powers in variable order (element None
-        for 1); rows is None when a coefficient has a denominator.  Cached
-        per endomorphism, for the keys the inputs have used."""
+        twisted t-exponents ``tw`` are multiplied by (tw or moved nonzero):
+        the twist product times the moved variables' image powers in
+        variable order; rows is None when a coefficient has a denominator.
+        Cached per endomorphism, for the keys the inputs have used."""
         key = (tw, moved)
         cached = self._mult_cache.get(key)
         if cached is None:
@@ -140,14 +159,13 @@ class RingEndo:
                     power_ = self._var_power(alpha, e)
                     mult = power_ if mult is None else mult * power_
             alg = self.ring.coeffs
-            K = self.ring.nvars + alg.total_d
-            if mult is None:  # the multiplier 1
-                rows = (np.zeros((1, K), dtype=np.int64), alg.fd_one()[None, :])
-            else:
-                rows = mult._rows()
+            rows = mult._rows()
             if rows is not None:
                 keys, vecs = rows
-                rows = (keys.reshape(len(keys), K), vecs.reshape(len(keys), alg.N))
+                rows = (
+                    keys.reshape(len(keys), self.ring.nvars + alg.total_d),
+                    vecs.reshape(len(keys), alg.N),
+                )
             cached = self._mult_cache[key] = (rows, mult)
         return cached
 
@@ -237,8 +255,8 @@ class RingEndo:
         metas = [(tuple(window), 0, frozenset())]
         const_keys, const_vecs, blocks = [], [], []
         fractions = []
-        products = False  # whether some row has a multiplier other than 1
         twisted = [(alg.t_owner[k], k) in self.twists for k in range(alg.total_d)]
+        scaled = alg.total_d and any(self.frob_exps)
         for exps, c in terms:
             if c.den:
                 term = self.apply_coeff(c)
@@ -250,7 +268,7 @@ class RingEndo:
                 continue
             moved = tuple(0 if f else e for e, f in zip(exps, self._fixed))
             shift = tuple(e if f else 0 for e, f in zip(exps, self._fixed))
-            products = products or any(moved) or bool(self.twists)
+            moves = any(moved)
             cmetas = []
             for mono, vec in c.num.items():
                 tw = ()
@@ -258,12 +276,14 @@ class RingEndo:
                     tw = tuple(m if t else 0 for m, t in zip(mono, twisted))
                     if not any(tw):
                         tw = ()
-                rows, mult = self._multiplier(tw, moved)
                 cmetas.append(self._twist_power(tw).meta() if tw else constant)
-                if rows is None:  # a multiplier coefficient with a denominator
-                    fractions.append(self._fraction_rows(mult, shift, mono, vec))
-                    continue
-                const_keys.append(shift + mono)
+                rows = None  # the multiplier 1
+                if tw or moves:
+                    rows, mult = self._multiplier(tw, moved)
+                    if rows is None:  # a multiplier coefficient with a denominator
+                        fractions.append(self._fraction_rows(mult, shift, mono, vec))
+                        continue
+                const_keys.append(shift + (self._image_mono(mono) if scaled else mono))
                 const_vecs.append(vec)
                 blocks.append(rows)
             cmeta = cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
@@ -272,12 +292,12 @@ class RingEndo:
         support = {}
         if blocks:
             kc = np.array(const_keys, dtype=np.int64)
-            self._scale_t_keys(kc)
             vc = self._frobenius(np.array(const_vecs))
             limit = None
             if any(w != INF for w in out_window):
                 limit = np.array(out_window + (INF,) * alg.total_d)
-            if not products:  # every row is its own image, under a distinct key
+            if all(b is None for b in blocks):
+                # every row is its own image, under a distinct key
                 if limit is not None:
                     keep = (kc <= limit).all(axis=1)
                     kc, vc = kc[keep], vc[keep]
@@ -286,6 +306,8 @@ class RingEndo:
                 ((km, vm),) = blocks
                 keys, vecs = alg.combine_rows(kc, vc, km, vm, None, limit)
             else:
+                one = (np.zeros((1, K), dtype=np.int64), alg.fd_one()[None, :])
+                blocks = [one if b is None else b for b in blocks]
                 km = np.concatenate([k for k, _ in blocks])
                 vm = np.concatenate([v for _, v in blocks])
                 owner = np.repeat(np.arange(len(blocks)), [len(k) for k, _ in blocks])
@@ -306,26 +328,12 @@ class RingEndo:
             ring, support, pole_bound, out_window, pole_set, clipped=True
         )
 
-    def _scale_t_keys(self, keys):
-        """t-exponents times p^e_alpha, in place; refused past EXP_BOUND."""
-        if not self._t_scaled:
-            return
-        cols, scale = self._t_scaled
-        t = keys[:, cols]
-        top = int(t.max())
-        if top:
-            check_exponent(top * max(scale))
-            keys[:, cols] = t * np.array(scale, dtype=np.int64)
-
     def _fraction_rows(self, mult, shift, mono, vec):
         """The support of mult X^shift (t^mono', Frob(vec)), made term by
         term: ``mult`` has a coefficient with a denominator."""
         alg = self.ring.coeffs
-        key = np.array([shift + mono], dtype=np.int64)
-        self._scale_t_keys(key)
-        key = key[0].tolist()
         row = CoeffElement(
-            alg, {tuple(key[self.ring.nvars:]): self._frobenius(vec[None, :])[0]}, ()
+            alg, {self._image_mono(mono): self._frobenius(vec[None, :])[0]}, ()
         )
         return {
             tuple(x + s for x, s in zip(e, shift)): c * row

@@ -302,10 +302,11 @@ def reference_apply(endo, a):
 
 
 SCALED = "X_a -> (1 + t) X_a"
+TRUNCATED = "X_a -> X_a + X_a^2 X_b, X_b -> X_b + X_a X_b^2"
 # (p, degrees, transcendentals per factor, precision, words)
 KERNEL_CASES = (
     (2, (1, 1), (1, 0), 6, (
-        "phi(a)", "gamma(b; 3)", "delta(a; 1)", "phi(a) * delta(a; 1)", SCALED,
+        "phi(a)", "gamma(b; 3)", "delta(a; 1)", "phi(a) * delta(a; 1)", SCALED, TRUNCATED,
         "delta(a; 1) * gamma(a; 1+p) * phi(b)", "gamma(a; 3) * delta(a; 1)^2",
     )),
     (3, (2, 1), (0, 2), 5, (
@@ -319,12 +320,19 @@ WORDS = [(case, word) for case in range(len(KERNEL_CASES)) for word in KERNEL_CA
 
 def kernel_endo(ring, word):
     """The endomorphism of ``word``; SCALED names X_a -> (1 + t) X_a, whose
-    negative powers have coefficients with a denominator."""
-    if word != SCALED:
+    negative powers have coefficients with a denominator, and TRUNCATED
+    X_a -> X_a + X_a^2 X_b and X_b -> X_b + X_a X_b^2, known to windows 3
+    and 4 below the precision, so that the window of a product depends on
+    the order of its factors."""
+    if word not in (SCALED, TRUNCATED):
         return parse_word(word, ring).to_endo(ring)
     alg = ring.coeffs
+    x, y = ring.var(0), ring.var(1)
+    if word == TRUNCATED:
+        images = [(x + x * x * y).truncated((3, 3)), (y + x * y * y).truncated((4, 4))]
+        return RingEndo(ring, images, (0, 0))
     t = ring.constant(alg.t(alg.tsymbols[0]))
-    images = [(ring.one() + t) * ring.var(0)] + [ring.var(i) for i in range(1, ring.nvars)]
+    images = [(ring.one() + t) * x] + [ring.var(i) for i in range(1, ring.nvars)]
     return RingEndo(ring, images, (0,) * ring.nvars)
 
 
