@@ -345,7 +345,9 @@ class CoefficientAlgebra:
         # p, so a group's sum of at most len(keys) of them is far below 2^63
         order = np.lexsort(keys.T)
         keys, prods = keys[order], prods[order]
-        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        new = np.ones(len(keys), dtype=bool)
+        np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+        starts = np.flatnonzero(new)
         keys, prods = keys[starts], np.add.reduceat(prods, starts) % self.p
         keep = prods.any(axis=1)
         return keys[keep], prods[keep]

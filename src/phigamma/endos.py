@@ -269,14 +269,15 @@ class RingEndo:
             moved = tuple(0 if f else e for e, f in zip(exps, self._fixed))
             shift = tuple(e if f else 0 for e, f in zip(exps, self._fixed))
             moves = any(moved)
-            cmetas = []
+            cmetas = []  # of the twisted rows: the others' is the sum's identity
             for mono, vec in c.num.items():
                 tw = ()
                 if self.twists:
                     tw = tuple(m if t else 0 for m, t in zip(mono, twisted))
-                    if not any(tw):
+                    if any(tw):
+                        cmetas.append(self._twist_power(tw).meta())
+                    else:
                         tw = ()
-                cmetas.append(self._twist_power(tw).meta() if tw else constant)
                 rows = None  # the multiplier 1
                 if tw or moves:
                     rows, mult = self._multiplier(tw, moved)
@@ -286,7 +287,9 @@ class RingEndo:
                 const_keys.append(shift + (self._image_mono(mono) if scaled else mono))
                 const_vecs.append(vec)
                 blocks.append(rows)
-            cmeta = cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
+            cmeta = constant if not cmetas else (
+                cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
+            )
             metas.append(self._term_meta(cmeta, tuple(exps)))
         out_window, pole_bound, pole_set = sum_meta(ring, metas)
         support = {}
