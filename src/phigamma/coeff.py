@@ -22,10 +22,9 @@ products are summed per summed key.  ``combine_rows`` is the linear
 combination form that substitution uses: each row of one list multiplies
 its own block of rows of the other, through the same left-multiplication
 maps and the same grouping; a single row takes the shortcut that needs no
-grouping.  Keys are
-int64 and every stored exponent lies in [-2^62, 2^62], so a sum of two
-cannot wrap unnoticed; ``key_rows`` reads a kernel's keys and refuses any
-past that bound.
+grouping.  Keys are int64 and every stored exponent lies in [-2^62, 2^62],
+so a sum of two cannot wrap unnoticed; ``key_rows`` reads a kernel's keys
+and refuses any past that bound.
 
 The split of ``F`` happens in its Frobenius-fixed subalgebra
 ``A = F^{Frob_s}``, which is GF(p)^ell for ell components and contains every

@@ -232,22 +232,11 @@ class RingEndo:
 
     def _substitute(self, terms, window):
         """The image of the sum of ``terms`` ((exponents, coefficient)
-        pairs), truncated to ``window``.
-
-        Every t-row (t^mono, vector) of every coefficient without a
-        denominator becomes one constant row: the Frobenius of the vector,
-        keyed by the fixed variables' exponents and mono scaled by p^e.  It
-        pairs with the rows of its cached multiplier (``_multiplier``), and
-        one ``combine_rows`` call makes all products and sums equal keys.
-        A coefficient with a denominator has no rows: its term's image is
-        made by series products, as a sum of fractions needs, and added
-        into the support.  The window, pole bound and pole set are those of
-        the term-by-term sum: per term the sum rule over its t-rows (each
-        with its twist product's metadata), then the product rule over the
-        variable powers in variable order, then the sum rule over the terms
-        and the input window.  These rules are monotone, so every
-        multiplier is exact on its share of the result's window.
-        """
+        pairs), truncated to ``window``: one ``combine_rows`` call for the
+        rows, the metadata folded as the module docstring says.  A
+        coefficient with a denominator, in a term or in a multiplier, has
+        no rows: its images are made by series products, as a sum of
+        fractions needs, and added into the support."""
         ring = self.ring
         alg = ring.coeffs
         nv, K = ring.nvars, ring.nvars + alg.total_d
@@ -379,7 +368,7 @@ def _is_variable(img, alpha):
     if len(img.support) != 1 or img.pole_bound:
         return False
     ((exps, c),) = img.support.items()
-    if exps[alpha] != 1 or sum(exps) != 1 or min(exps) < 0 or c.den or len(c.num) != 1:
+    if exps != tuple(int(i == alpha) for i in range(len(exps))) or c.den or len(c.num) != 1:
         return False
     ((mono, vec),) = c.num.items()
     return not any(mono) and vec.tolist() == [1] + [0] * (len(vec) - 1) and all(
