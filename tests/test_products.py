@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_for
-from phigamma import INF, LaurentElement
+from phigamma import INF, LaurentElement, PrecisionError
 from phigamma.oracles import DensePolynomial, dense_mul
 
 SHAPES = [
@@ -188,6 +188,32 @@ def test_denominator_products_keep_the_pair_loop(data):
     cleared = prod.scale(d)
     assert cleared.window == (a * b).window
     assert cleared.eq_window(a * b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_comparisons_match_the_difference(data):
+    # eq_window and == compare coefficients directly; they must say what the
+    # difference a - b says, fractions with unequal denominators included
+    ring, a, b = data.draw(ring_and_pair())
+    alg = ring.coeffs
+    b = data.draw(st.sampled_from([b, a, a.truncated(2), a + b.truncated(1)]))
+    if alg.tsymbols and data.draw(st.booleans()):
+        d = alg.one() + alg.t(alg.tsymbols[0])
+        a = a.scale(d.try_invert())  # c / (1 + t)
+        b = b.scale(d).scale(d.try_invert()).scale(d.try_invert())  # c (1+t) / (1+t)^2
+    diff = a - b
+    assert a.eq_window(b) == (not diff.support)
+    if diff.support:
+        assert (a == b) is False
+    elif diff.is_exact():
+        assert (a == b) is True
+    else:
+        with pytest.raises(PrecisionError):
+            a == b
+    for e, c in a.support.items():
+        if e in b.support:
+            assert (c == b.support[e]) == (c - b.support[e]).is_zero()
 
 
 def test_zero_divisor_products_cancel():

@@ -74,6 +74,18 @@ def test_eq_raises_on_window_limited_equality():
     assert ring.one() == ring.one()
 
 
+def test_window_comparison_clips_by_the_larger_pole_bound():
+    # a - b is certified up to 4 - 2 = 2 in X (cap less the larger pole
+    # bound), so a and b agree there although a has X^3 and b has not
+    ring = ring_for(2, [1], prec=4)
+    one = ring.coeffs.one()
+    a = LaurentElement(ring, {(0,): one, (3,): one}, 0, (3,))
+    b = LaurentElement(ring, {(0,): one}, 2, (INF,), {0})
+    assert a.eq_window(b) and b.eq_window(a)
+    with pytest.raises(PrecisionError):
+        a == b
+
+
 def test_monomial_shift_is_exact():
     ring = ring_for(2, [1, 1], prec=6)
     a = (ring.one() + ring.x_delta()).truncated(5)
