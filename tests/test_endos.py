@@ -321,9 +321,9 @@ WORDS = [(case, word) for case in range(len(KERNEL_CASES)) for word in KERNEL_CA
 def kernel_endo(ring, word):
     """The endomorphism of ``word``; SCALED names X_a -> (1 + t) X_a, whose
     negative powers have coefficients with a denominator, and TRUNCATED
-    X_a -> X_a + X_a^2 X_b and X_b -> X_b + X_a X_b^2, known to windows 3
-    and 4 below the precision, so that the window of a product depends on
-    the order of its factors."""
+    X_a -> X_a + X_a^2 X_b and X_b -> X_b + X_a X_b^2, known only to
+    windows 3 and 4, below the precision, so that the images' own windows
+    and not only the caps decide the product rule."""
     if word not in (SCALED, TRUNCATED):
         return parse_word(word, ring).to_endo(ring)
     alg = ring.coeffs
