@@ -13,6 +13,11 @@ the script prints each side's median and quartiles, the relative change of
 the medians, the share of pairs the working tree won (ties count for
 neither side), and whether that is a gain: at least nine tenths of the
 pairs won, and medians further apart than the base's interquartile range.
+It also prints the regression verdict with the metric's ``bound`` from
+``BENCHMARK.json``: "yes" when the change's median is worse than the
+base's by more than the bound (relative to the base's median), "unresolved"
+when the base's interquartile range is wider than that, unless every run of
+the change beats every run of the base, and "no" otherwise.
 With ``--trace`` it then makes one ``perfbench/run.py --trace 1`` run per
 side and prints base -> change for every per-layer metric of
 ``BENCHMARK.json``, which shows in which layers a change gains or loses.
@@ -73,10 +78,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def regression(base, new, lower, bound):
+    """The regression verdict for one metric: "yes" if the change's median
+    is worse than the base's by more than ``bound`` times the base's median,
+    else "no"; "unresolved" when the base's interquartile range is wider
+    than that, unless every run of the change beats every run of the base."""
+    qb, qc = quartiles(base), quartiles(new)
+    beats_all = min(base) > max(new) if lower else min(new) > max(base)
+    if qb[2] - qb[0] > bound * qb[1] and not beats_all:
+        return "unresolved"
+    worse_by = qc[1] - qb[1] if lower else qb[1] - qc[1]
+    return "yes" if worse_by > bound * qb[1] else "no"
+
+
 def report(workload, seed, metrics, results):
     print(f"\n{workload} (seed {seed}, {len(results)} pairs)")
     print(f"{'metric':<16} {'base q1/median/q3':>28} {'change q1/median/q3':>28}"
-          f" {'change':>8} {'won':>7} gain")
+          f" {'change':>8} {'won':>7} gain regression")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base = [r["base"]["metrics"][name]["value"] for r in results]
@@ -88,7 +106,7 @@ def report(workload, seed, metrics, results):
         print(f"{name:<16} {'/'.join(f'{v:.4g}' for v in qb):>28}"
               f" {'/'.join(f'{v:.4g}' for v in qc):>28}"
               f" {qc[1] / qb[1] - 1:>+8.1%} {wins:>3}/{len(results):<3}"
-              f" {'yes' if gain else 'no'}")
+              f" {'yes' if gain else 'no':<4} {regression(base, new, lower, m['bound'])}")
     for side in ("base", "change"):
         runs = [r[side] for r in results]
         print(f"{side}: correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs, "

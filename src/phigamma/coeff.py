@@ -26,17 +26,22 @@ grouping.  Keys are int64 and every stored exponent lies in [-2^62, 2^62],
 so a sum of two cannot wrap unnoticed; ``key_rows`` reads a kernel's keys
 and refuses any past that bound.
 
-The split of ``F`` happens in its Frobenius-fixed subalgebra
-``A = F^{Frob_s}``, which is GF(p)^ell for ell components and contains every
-idempotent: the primitive idempotents span the joint eigenlines of
-multiplication by a basis of ``A``, found with nullspaces of ell x ell
-matrices rather than with products in all of ``F``.
+The tables are built per factor and then tensored: each factor's product
+table from y^k mod its modulus for k <= 2n - 2, and its Frobenius from y^p
+by square-and-multiply, so their cost grows with log p, not p.  The split
+of ``F`` happens in its Frobenius-fixed subalgebra ``A = F^{Frob_s}``,
+which is GF(p)^ell for ell components and contains every idempotent:
+Cantor-Zassenhaus inside A, with random elements raised to the power
+(p - 1)/2, refines 1 into the primitive idempotents through products of
+ell-vectors.  The partial Frobenii permute the components in one orbit, so
+every component has the same degree, N/ell.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -186,63 +191,40 @@ class CoefficientAlgebra:
     # -- finite part ---------------------------------------------------
 
     def _build_structure(self):
-        p = self.p
-        per_factor_T = []
-        per_factor_frob = []
-        for spec in self.factors:
-            n = spec.base.n
-            mod = np.array(spec.base.modulus, dtype=np.int64)
-            # powers[k] = y^k reduced, for k up to max needed
-            maxpow = max(2 * (n - 1), p * (n - 1)) + 1
-            powers = np.zeros((maxpow, n), dtype=np.int64)
-            cur = np.zeros(n, dtype=np.int64)
-            cur[0] = 1
-            powers[0] = cur
-            for k in range(1, maxpow):
-                nxt = np.zeros(n + 1, dtype=np.int64)
-                nxt[1:] = cur
-                if nxt[n]:
-                    nxt[:n] = (nxt[:n] - nxt[n] * mod[:n]) % p
-                cur = nxt[:n] % p
-                powers[k] = cur
-            T = np.zeros((n, n, n), dtype=np.int64)
-            for a in range(n):
-                for b in range(n):
-                    T[a, b] = powers[a + b]
-            F = np.zeros((n, n), dtype=np.int64)
-            for a in range(n):
-                F[:, a] = powers[p * a]
-            per_factor_T.append(T)
-            per_factor_frob.append(F)
-
-        T = per_factor_T[0]
-        for B in per_factor_T[1:]:
-            n1, n2 = T.shape[0], B.shape[0]
-            T = np.multiply.outer(T, B).transpose(0, 3, 1, 4, 2, 5)
-            T = T.reshape(n1 * n2, n1 * n2, n1 * n2) % self.p
+        p, N = self.p, self.N
         # The product as a precomputed linear map in two stages: x -> x . T,
         # an N x N matrix reduced mod p, then y -> y . (x . T).  Each stage
         # sums N terms below p^2, exactly in int64; the split runs both
         # stages in float64 (for BLAS), exact while the sums stay below 2^53.
-        if self.N * (self.p - 1) ** 2 >= 2**53:
+        if N * (p - 1) ** 2 >= 2**53:
             raise ValueError("dim F * (p-1)^2 >= 2^53: products would not be exact")
-        self._mul_map = T.reshape(self.N, self.N * self.N)
+        tables, frobs = [], []
+        for spec in self.factors:
+            n, mod = spec.base.n, spec.base.modulus
+            # y^k mod the modulus for k <= max(2n - 2, 1), from Python ints
+            powers = [[1] + [0] * (n - 1)]
+            for _ in range(max(2 * n - 2, 1)):
+                top, low = powers[-1][-1], [0] + powers[-1][:-1]
+                powers.append([(c - top * m) % p for c, m in zip(low, mod)])
+            powers = np.array(powers, dtype=np.int64)
+            T = powers[np.add.outer(np.arange(n), np.arange(n))]  # y^(a + b)
 
-        self.frob_matrices = []
-        for i in range(self.nvars):
-            M = np.eye(1, dtype=np.int64)
-            for j in range(self.nvars):
-                blk = (
-                    per_factor_frob[j]
-                    if j == i
-                    else np.eye(self.degrees[j], dtype=np.int64)
-                )
-                M = np.kron(M, blk)
-            self.frob_matrices.append(M % self.p)
-        M = np.eye(self.N, dtype=np.int64)
-        for F in self.frob_matrices:
-            M = (F @ M) % self.p
-        self.frob_s_matrix = M
+            def mul(x, y, T=T.reshape(n, n * n), n=n):
+                return y @ (x @ T % p).reshape(n, n) % p
+
+            # column a of the factor's Frobenius is (y^p)^a
+            yp = power(powers[1], p, powers[0], mul)
+            cols = [powers[0]]
+            for _ in range(n - 1):
+                cols.append(mul(cols[-1], yp))
+            tables.append(T)
+            frobs.append(np.stack(cols, axis=1))
+        self._mul_map = _tensor(p, tables).reshape(N, N * N)
+        eye = [np.eye(n, dtype=np.int64) for n in self.degrees]
+        self.frob_matrices = [
+            _tensor(p, eye[:i] + [F] + eye[i + 1 :]) for i, F in enumerate(frobs)
+        ]
+        self.frob_s_matrix = _tensor(p, frobs)
 
     def label_index(self, label):
         """The position of the factor named ``label``."""
@@ -381,77 +363,59 @@ class CoefficientAlgebra:
 
         The idempotents span A = F^{Frob_s}, the elements fixed by the
         absolute Frobenius, and A is GF(p)^ell as a ring (each component
-        field meets it in its prime field).  So the split happens inside A:
+        field meets it in its prime field).  So the split happens inside A,
         in the coordinates of A's reduced basis R_0..R_{ell-1} (an element's
-        coordinates are its entries at the pivot columns), multiplication by
-        R_i is an ell x ell matrix, and the joint eigenspaces of these
-        matrices are the lines through the primitive idempotents.  Each
-        space is refined by the eigenspaces of one matrix after another
-        (a nullspace per candidate eigenvalue in GF(p), until they fill the
-        space), stopping once there are ell lines; a line spanned by
-        a = s e satisfies a^2 = s a, which fixes the scale.  A partial
-        Frobenius is a ring automorphism mapping eF onto sigma(e)F, so one
-        rank per Frobenius orbit gives every component degree.
+        coordinates are its entries at the pivot columns), by
+        Cantor-Zassenhaus: for a random a in A, the parts where
+        b = a^((p-1)/2) is 1, -1 and 0, namely (b^2 + b)/2, (b^2 - b)/2 and
+        1 - b^2, are orthogonal idempotents summing to 1 (for p = 2, a and
+        1 - a are).  Each round multiplies every current idempotent by every
+        part and keeps the nonzero products, until there are ell.  The
+        result is unique, so it does not depend on the draws.  The partial
+        Frobenii act transitively on the components, and each maps eF
+        isomorphically onto sigma(e)F, so every component has degree N/ell,
+        the lcm of the factor degrees.
         """
         p, N = self.p, self.N
         fixed = gfp.nullspace((self.frob_s_matrix - np.eye(N, dtype=np.int64)) % p, p)
         R, pivots = gfp.rref(fixed, p)
         ell = len(pivots)
-        # S[i, j, k]: coordinate k of R_i * R_j, from one batched product
-        # map; only the pivot columns of the map are read, in float64 for BLAS
+        # S[i, j, k] (with j, k flattened): coordinate k of R_i * R_j, from
+        # one batched product map; only the pivot columns of the map are
+        # read, in float64 for BLAS
         pivot_map = self._mul_map.reshape(N, N, N)[:, :, pivots].astype(np.float64)
         left = (R @ pivot_map.reshape(N, N * ell) % p).reshape(ell, N, ell)
-        S = (R @ left % p).astype(np.int64)
-        lines = [np.eye(ell, dtype=np.int64)]  # reduced bases of the spaces
-        for Si in S:
-            if len(lines) == ell:
-                break
-            refined = []
-            for B in lines:
-                k = len(B)
-                # the action of R_i on the space, in the coordinates of B
-                # (read at B's pivots, the first nonzero entry of each row)
-                D = (B @ Si % p)[:, (B != 0).argmax(axis=1)]
-                if np.array_equal(D, D[0, 0] * np.eye(k, dtype=np.int64)):
-                    refined.append(B)  # R_i is a scalar here, or B is a line
-                    continue
-                found = 0
-                for lam in range(p):
-                    Y = gfp.nullspace((D.T - lam * np.eye(k, dtype=np.int64)) % p, p)
-                    if len(Y):
-                        refined.append(gfp.rref(Y @ B, p)[0])
-                        found += len(Y)
-                        if found == k:
-                            break
-            lines = refined
-        idems = []
-        for (x,) in lines:
-            # a = x R = s e has a^2 = s a; x is 1 at its first nonzero entry
-            s = int((x @ (np.tensordot(x, S, axes=1) % p) % p)[(x != 0).argmax()])
-            idems.append(x * gfp._inv_mod(s, p) % p @ R % p)
-        idems.sort(key=lambda v: tuple(int(c) for c in v))
+        S = (R @ left % p).astype(np.int64).reshape(ell, ell * ell)
+
+        def mul(x, y):  # every row of x times every row of y, in A
+            return (y @ (x @ S % p).reshape(-1, ell, ell) % p).reshape(-1, ell)
+
+        one = self.fd_one()[None, pivots]  # 1 is in A: a row of coordinates
+        half = (p + 1) // 2  # 1/2 mod odd p
+        rng = random.Random(0)
+        idems = one
+        while len(idems) < ell:
+            a = np.array([[rng.randrange(p) for _ in range(ell)]], dtype=np.int64)
+            if p == 2:
+                parts = np.concatenate([a, one - a]) % p
+            else:
+                b = power(a, (p - 1) // 2, one, mul)
+                b2 = mul(b, b)
+                parts = np.concatenate([(b2 + b) * half, (b2 - b) * half, one - b2]) % p
+            idems = mul(idems, parts)
+            idems = idems[idems.any(axis=1)]
+        idems = sorted(idems @ R % p, key=lambda v: v.tolist())
         index = {e.tobytes(): j for j, e in enumerate(idems)}
         perms = []
-        for alpha in range(self.nvars):
-            perm = []
-            for e in idems:
-                j = index.get(self.fd_frob(e, alpha).tobytes())
-                if j is None:
-                    raise AssertionError("frobenius image of idempotent not primitive")
-                perm.append(j)
-            perms.append(tuple(perm))
-        degrees = [0] * ell
-        for j in range(ell):
-            if degrees[j]:
-                continue
-            degrees[j] = gfp.rank(self.fd_mul_matrix(idems[j]), p)
-            orbit = [j]
-            for k in orbit:
-                for perm in perms:
-                    if not degrees[perm[k]]:
-                        degrees[perm[k]] = degrees[j]
-                        orbit.append(perm[k])
-        return IdempotentDecomposition(tuple(idems), tuple(degrees), tuple(perms))
+        for frob in self.frob_matrices:
+            perm = tuple(index.get(v.tobytes()) for v in np.array(idems) @ frob.T % p)
+            if None in perm:
+                raise AssertionError("frobenius image of idempotent not primitive")
+            perms.append(perm)
+        dec = IdempotentDecomposition(tuple(idems), (N // ell,) * ell, tuple(perms))
+        if not phi_orbit_transitivity(dec)[1] or N != ell * math.lcm(*self.degrees):
+            raise AssertionError("components are not one Frobenius orbit of degree lcm")
+        return dec
 
     # -- element constructors -----------------------------------------
 
@@ -511,6 +475,19 @@ class CoefficientAlgebra:
             t = f"({','.join(s.transcendentals)})" if s.transcendentals else ""
             parts.append(f"GF({self.p}^{s.base.n}){t}")
         return " (x) ".join(parts)
+
+
+def _tensor(p, blocks):
+    """The tensor product of integer arrays of one rank r with entries in
+    [0, p): entry [(i_1..i_s), ..., (k_1..k_s)] is the product over alpha of
+    block alpha's entry [i_alpha, ..., k_alpha] mod p, reduced after each
+    block (a product of s entries can pass 2^63)."""
+    out = blocks[0]
+    for B in blocks[1:]:
+        out = np.multiply.outer(out, B) % p
+    r, s = blocks[0].ndim, len(blocks)
+    axes = [r * i + k for k in range(r) for i in range(s)]
+    return out.transpose(axes).reshape([math.prod(out.shape[k::r]) for k in range(r)])
 
 
 def _num_add(alg, a, b):

@@ -258,6 +258,8 @@ def test_semidirect_relation_with_large_chi(monkeypatch):
     ("fixed-points", fixed_points_config(t_cap=-1), "t_cap must be"),
     ("fixed-points", fixed_points_config(window=2000, subwindow=1000), "slots"),
     ("check-module", gamma_delta_config(2, 10**6), "digits must lie in 1..64"),
+    # past the 2^53 exactness bound: refused before any table is built
+    ("idempotents", {"p": 100000007, "factors": [{"n": 2, "label": "a"}]}, "2^53"),
 ])
 def test_out_of_range_sizes_are_input_errors(command, cfg, message):
     code, out, seconds = run_config(command, cfg)

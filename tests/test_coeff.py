@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ from phigamma import (
 )
 from phigamma import gfp
 from phigamma.fields import find_irreducible
-from phigamma.oracles import crt_split
+from phigamma.oracles import OracleCapError, crt_split
 
 
 @pytest.mark.parametrize(
@@ -99,7 +100,15 @@ def test_idempotents_248_beyond_oracle_caps(p):
     alg = _seeded_alg(p, [2, 4, 8], 3)
     dec = tensor_idempotents(alg)
     assert dec.ell == 8 and dec.component_degrees == (8,) * 8
-    es = dec.idempotents
+    _assert_primitive_split(alg, dec, lambda x, alpha: _schoolbook_frob(alg, x, alpha))
+    keys = [tuple(e.tolist()) for e in dec.idempotents]
+    assert keys == sorted(keys)
+
+
+def _assert_primitive_split(alg, dec, frob):
+    """Nonzero orthogonal idempotents summing to 1, by schoolbook products,
+    that ``frob(x, alpha)`` permutes as the decomposition says."""
+    es, p = dec.idempotents, alg.p
     assert not np.any(sum(es) % p - alg.fd_one())
     for i, e in enumerate(es):
         assert np.any(e)
@@ -107,18 +116,62 @@ def test_idempotents_248_beyond_oracle_caps(p):
         for f in es[i + 1 :]:
             assert not np.any(_schoolbook_mul(alg, e, f))
         for alpha, perm in enumerate(dec.frobenius_permutations):
-            assert np.array_equal(_schoolbook_frob(alg, e, alpha), es[perm[i]])
-    keys = [tuple(e.tolist()) for e in es]
-    assert keys == sorted(keys)
+            assert np.array_equal(frob(e, alpha), es[perm[i]])
 
 
-def test_degrees_per_orbit_match_rank_per_idempotent():
-    alg = _seeded_alg(3, [2, 2, 4], 4)
+@pytest.mark.parametrize(
+    "p,degs", [(2, [2, 2, 2]), (3, [2, 2, 4]), (5, [4, 2]), (7, [2, 3]), (2, [2, 4, 8])]
+)
+def test_degrees_per_orbit_match_rank_per_idempotent(p, degs):
+    # the degrees are read off the Frobenius orbit; the rank of
+    # multiplication by each idempotent is the reference
+    alg = _seeded_alg(p, degs, 4)
     dec = tensor_idempotents(alg)
-    assert dec.ell == 4
+    assert dec.ell == alg.N // math.lcm(*degs)
     assert dec.component_degrees == tuple(
-        gfp.rank(alg.fd_mul_matrix(e), 3) for e in dec.idempotents
+        gfp.rank(alg.fd_mul_matrix(e), p) for e in dec.idempotents
     )
+
+
+def _frob_by_substitution(alg, alpha):
+    """The matrix of the partial Frobenius as the substitution
+    y_alpha -> y_alpha^p on monomials, with y_alpha^p from fd_pow."""
+    gens = [alg.fd_gen(beta) for beta in range(alg.nvars)]
+    gens[alpha] = alg.fd_pow(gens[alpha], alg.p)
+    cols = []
+    for e in itertools.product(*(range(n) for n in alg.degrees)):
+        col = alg.fd_one()
+        for g, k in zip(gens, e):
+            col = alg.fd_mul(col, alg.fd_pow(g, k))
+        cols.append(col)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("p,degs", [(8191, [4, 4, 2]), (1000003, [2, 2])])
+def test_idempotents_at_large_p(p, degs):
+    alg = alg_for(p, degs)
+    with pytest.raises(OracleCapError):
+        crt_split(p, [list(s.base.modulus) for s in alg.factors])
+    dec = tensor_idempotents(alg)
+    L = math.lcm(*degs)
+    assert dec.ell == alg.N // L and dec.component_degrees == (L,) * dec.ell
+    frobs = [_frob_by_substitution(alg, alpha) for alpha in range(alg.nvars)]
+    _assert_primitive_split(alg, dec, lambda x, alpha: frobs[alpha] @ x % p)
+
+
+def test_split_cost_does_not_grow_with_p(monkeypatch):
+    # no loop over GF(p): the split makes the same gfp calls for every p
+    calls = []
+    for name in ("rref", "nullspace", "solve", "inv_matrix", "rank"):
+        f = getattr(gfp, name)
+        monkeypatch.setattr(gfp, name, lambda *a, f=f: calls.append(f) or f(*a))
+    counts = []
+    for p in (7, 8191, 1000003):
+        alg = alg_for(p, [2, 2])
+        calls.clear()
+        tensor_idempotents(alg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_idempotents_orthogonal_and_complete():
@@ -160,10 +213,13 @@ def _schoolbook_mul(alg, x, y):
 
 @pytest.mark.parametrize(
     "p,degs",
-    [(7, [1]), (3, [2, 3]), (5, [4, 4, 4]), (8191, [4, 4, 2]), (94906249, [1])],
+    [(7, [1]), (3, [2, 3]), (5, [4, 4, 4]), (8191, [4, 4, 2]), (94906249, [1]),
+     (1000003, [2, 2, 2, 2])],
 )
 def test_fd_mul_matches_schoolbook(p, degs):
-    # the last prime is the largest with N * (p-1)^2 < 2^53 at N = 1
+    # 94906249 is the largest prime with N * (p-1)^2 < 2^53 at N = 1; at
+    # 1000003 a product of four table entries passes 2^63 unless the
+    # tensor product of the factor tables is reduced between factors
     alg = alg_for(p, degs)
     rng = random.Random(17)
     for _ in range(4):
@@ -172,6 +228,33 @@ def test_fd_mul_matches_schoolbook(p, degs):
         assert prod.dtype == np.int64
         assert np.array_equal(prod, _schoolbook_mul(alg, x, y))
         assert np.array_equal(alg.fd_mul_matrix(x) @ y % p, prod)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 8191])
+@pytest.mark.parametrize("degs", [[1, 2, 1], [3, 2], [2, 4, 8]])
+def test_frobenius_tables_match_schoolbook(p, degs):
+    alg = _seeded_alg(p, degs, 5)
+    rng = random.Random(23)  # every coordinate nonzero, so every column counts
+    x = np.array([rng.randrange(1, p) for _ in range(alg.N)], dtype=np.int64)
+    product = np.eye(alg.N, dtype=np.int64)
+    for alpha, frob in enumerate(alg.frob_matrices):
+        assert frob.dtype == np.int64
+        assert np.array_equal(frob @ x % p, _schoolbook_frob(alg, x, alpha))
+        product = frob @ product % p
+    assert np.array_equal(alg.frob_s_matrix, product)
+
+
+@pytest.mark.parametrize(
+    "p,degs", [(1000003, [2, 2]), (1000003, [2, 2, 2, 2]), (94906249, [1])]
+)
+def test_absolute_frobenius_is_the_pth_power(p, degs):
+    # the tables take y^p by square-and-multiply, where p is far too large
+    # to step through y^k
+    alg = alg_for(p, degs)
+    rng = random.Random(29)
+    for _ in range(3):
+        x = alg.fd_random(rng)
+        assert np.array_equal(alg.frob_s_matrix @ x % p, alg.fd_pow(x, p))
 
 
 def test_fd_mul_refuses_inexact_sizes():
