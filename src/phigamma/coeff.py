@@ -21,10 +21,16 @@ of one operand and one batched matmul with the rows of the other, and the
 products are summed per summed key.  ``combine_rows`` is the linear
 combination form that substitution uses: each row of one list multiplies
 its own block of rows of the other, through the same left-multiplication
-maps and the same grouping; a single row takes the shortcut that needs no
-grouping.  Keys are int64 and every stored exponent lies in [-2^62, 2^62],
-so a sum of two cannot wrap unnoticed; ``key_rows`` reads a kernel's keys
-and refuses any past that bound.
+maps and the same grouping.  A single row takes the shortcut instead,
+``CoefficientAlgebra.row_times``: one row v0 t^m0 times any number of
+numerators is a shift of their t-monomials by m0 and one matmul of their
+stacked vectors with v0's left-multiplication matrix, with no key arrays
+and no grouping (the shifted keys stay distinct).  Numerator products with
+a one-term side, series products with a one-row operand and substitution
+with one row all take it.  Keys are int64 and every stored exponent lies
+in [-2^62, 2^62], so a sum of two cannot wrap unnoticed; ``key_rows`` reads
+a kernel's keys and ``check_keys`` the shortcut's, and both refuse any past
+that bound.
 
 The tables are built per factor and then tensored: each factor's product
 table from y^k mod its modulus for k <= 2n - 2, and its Frobenius from y^p
@@ -75,14 +81,20 @@ def check_exponent(e):
         raise ValueError(f"exponent {e} out of range: {EXP_BOUND_TEXT}")
 
 
-def key_rows(keys):
-    """A kernel's result keys as lists of ints, refused past EXP_BOUND (a
-    wrapped 2^63 reads -2^63)."""
-    rows = keys.tolist()
+def check_keys(rows):
+    """Refuse a list of exponent rows (tuples or lists of ints) with an entry
+    past EXP_BOUND."""
     if rows and rows[0] and (
         max(map(max, rows)) > EXP_BOUND or min(map(min, rows)) < -EXP_BOUND
     ):
         raise ValueError(f"exponent out of range: {EXP_BOUND_TEXT}")
+
+
+def key_rows(keys):
+    """A kernel's result keys as lists of ints, refused past EXP_BOUND (a
+    wrapped 2^63 reads -2^63)."""
+    rows = keys.tolist()
+    check_keys(rows)
     return rows
 
 
@@ -278,8 +290,6 @@ class CoefficientAlgebra:
         """
         if len(ka) > len(kb):  # one left-multiplication matrix per row of
             ka, va, kb, vb = kb, vb, ka, va  # the shorter list
-        if len(ka) == 1:
-            return self._one_row_products(ka[0], va[0], kb, vb, limit)
         prods = (vb @ self._left_maps(va) % self.p).reshape(-1, self.N)
         keys = (ka[:, None, :] + kb[None, :, :]).reshape(len(prods), -1)
         return self._sum_per_key(keys, prods, limit)
@@ -293,8 +303,6 @@ class CoefficientAlgebra:
         result are as in ``mul_rows``, which this shares its pair products
         and its grouping with.
         """
-        if len(kc) == 1:
-            return self._one_row_products(kc[0], vc[0], km, vm, limit)
         prods = np.einsum("tn,tnk->tk", vm, self._left_maps(vc)[owner]) % self.p
         return self._sum_per_key(km + kc[owner], prods, limit)
 
@@ -302,17 +310,34 @@ class CoefficientAlgebra:
         """The left-multiplication matrices ``x @ map mod p`` of v's rows."""
         return (v @ self._mul_map % self.p).reshape(len(v), self.N, self.N)
 
-    def _one_row_products(self, k0, v0, kb, vb, limit):
-        """One row times a list of rows with distinct keys: the shifted
-        keys stay distinct, so nothing is grouped."""
-        prods = vb @ (v0 @ self._mul_map % self.p).reshape(self.N, self.N) % self.p
-        keys = kb + k0
-        keep = prods.any(axis=1)
-        if limit is not None:
-            keep &= (keys <= limit).all(axis=1)
-        if not keep.all():
-            keys, prods = keys[keep], prods[keep]
-        return keys, prods
+    def row_times(self, nums, m0, v0):
+        """Each numerator ({t-monomial: vector}) of ``nums`` times the one
+        row v0 t^m0: its t-monomials shift by m0 and all its vectors, stacked
+        with those of the others, are multiplied by v0's left-multiplication
+        matrix in one matmul.  Returns the products in the order of
+        ``nums``, zero rows dropped; each vector is its own array, not a view
+        of the batch.  Shifted t-monomials past EXP_BOUND are refused."""
+        vecs = [v for num in nums for v in num.values()]
+        left = (v0.dot(self._mul_map) % self.p).reshape(self.N, self.N)
+        if len(vecs) == 1:  # a fresh vector, not a row of a batch
+            prods = [vecs[0].dot(left) % self.p]
+            nonzero = [prods[0].any()]
+        else:
+            batch = np.array(vecs).dot(left) % self.p
+            prods = [row.copy() for row in batch]
+            nonzero = batch.any(axis=1).tolist()
+        shift = any(m0)
+        out, i = [], 0
+        for num in nums:
+            prod = {}
+            for m in num:
+                if nonzero[i]:
+                    prod[tuple(map(operator.add, m, m0)) if shift else m] = prods[i]
+                i += 1
+            out.append(prod)
+        if shift:
+            check_keys([m for prod in out for m in prod])
+        return out
 
     def _sum_per_key(self, keys, prods, limit):
         """Rows with equal keys summed once; rows past ``limit`` and zero
@@ -527,6 +552,11 @@ def _num_rows(alg, num):
 def _num_mul(alg, a, b):
     if not a or not b:
         return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((m0, v0),) = a.items()
+        return alg.row_times([b], m0, v0)[0]
     keys, vecs = alg.mul_rows(*_num_rows(alg, a), *_num_rows(alg, b))
     return {tuple(k): v.copy() for k, v in zip(key_rows(keys), vecs)}
 

@@ -12,21 +12,29 @@ The generator actions implemented:
     gamma_alpha(c):   X_alpha -> (1+X_alpha)^c - 1, coefficients fixed
     delta_{alpha,b}:  t_{alpha,i} -> (1+X_alpha)^{b_i} t_{alpha,i}, rest fixed
 
-Application is substitution in one kernel call.  Each t-row (t^m, vector)
-of each input term c X^e becomes a constant row: the Frobenius of the
-vector, keyed by t^(m p^e) and by the exponents of the variables that the
-endomorphism maps to themselves (a key shift, not a product).  Its
+Application is substitution in at most one kernel call.  Each t-row
+(t^m, vector) of each input term c X^e becomes a constant row: the
+Frobenius of the vector, keyed by t^(m p^e) and by the exponents of the
+key-mapped variables.  A variable is key-mapped when its image is exactly
+X_alpha^k (coefficient 1, exact, no poles), as under phi_alpha, phi_s,
+their composites and the identity: its exponent e becomes the key entry
+k e, a key map and not a product, refused past EXP_BOUND.  A row's
 multiplier is the product of the twist powers of t^m and the image powers
-of the moved variables, cached on the endomorphism for the keys the inputs
-use.  ``CoefficientAlgebra.combine_rows`` makes every row-times-multiplier
-product in one batch and sums equal keys once.  The window, pole bound and
-pole set are folded from metadata alone, in the order of the term-by-term
-substitution: the sum rule over a coefficient's t-rows, the product rule
-over the variable powers in variable order, the sum rule over the terms
-and the input window.  Both rules are monotone, so each multiplier is exact
-on its part of the folded window and the values there are those of the
-term-by-term sum.  Coefficients with a denominator have no rows; their
-images are made by series products and added into the result.
+of the other (moved) variables, cached on the endomorphism for the keys
+the inputs use.  ``CoefficientAlgebra.combine_rows`` makes every
+row-times-multiplier product in one batch and sums equal keys once.  Two
+cases need no kernel: when no row has a multiplier (every variable of
+every term key-mapped, no twist), each row is its own image under a
+distinct key; and a single row times its multiplier is a series product
+with a one-row operand (``series._row_times``).  The window, pole bound
+and pole set are folded from metadata alone, in the order of the
+term-by-term substitution: the sum rule over a coefficient's t-rows, the
+product rule over the variable powers in variable order, the sum rule over
+the terms and the input window.  Both rules are monotone, so each
+multiplier is exact on its part of the folded window and the values there
+are those of the term-by-term sum.  Coefficients with a denominator have
+no rows; their images are made by series products and added into the
+result.
 
 Composition is available in closed form, and formal words in the generators
 support a small textual syntax for the command line, e.g.
@@ -43,13 +51,14 @@ import re
 
 import numpy as np
 
-from .coeff import EXP_BOUND, CoeffElement, UndecidedError, check_exponent
+from .coeff import EXP_BOUND, CoeffElement, UndecidedError, check_exponent, check_keys
 from .fields import power
 from .series import (
     INF,
     LaurentElement,
     PAdicUnitApprox,
     SeriesRingSpec,
+    _row_times,
     _support_from_rows,
     binomial_power,
     digits_for_window,
@@ -83,9 +92,12 @@ class RingEndo:
 
     @functools.cached_property
     def _fixed(self):
-        """Per variable, whether its image is the variable itself: then its
-        exponents shift keys instead of multiplying."""
-        return tuple(_is_variable(img, alpha) for alpha, img in enumerate(self.var_images))
+        """Per variable, k when its image is exactly X_alpha^k (coefficient
+        1, exact, no poles), else 0: then its exponents map keys e -> k e
+        instead of multiplying."""
+        return tuple(
+            _monomial_exponent(img, alpha) for alpha, img in enumerate(self.var_images)
+        )
 
     def _image_mono(self, mono):
         """The t-exponents of the image of t^mono: each times p^e, e the
@@ -190,10 +202,11 @@ class RingEndo:
             for alpha, e in enumerate(exps):
                 if not e:
                     continue
-                if self._fixed[alpha]:
+                k = self._fixed[alpha]
+                if k:  # X_alpha^(k e), in closed form
                     vmeta = (
                         (INF,) * ring.nvars,
-                        max(0, -e),
+                        max(0, -k * e),
                         frozenset((alpha,)) if e < 0 else frozenset(),
                     )
                 else:
@@ -232,20 +245,21 @@ class RingEndo:
 
     def _substitute(self, terms, window):
         """The image of the sum of ``terms`` ((exponents, coefficient)
-        pairs), truncated to ``window``: one ``combine_rows`` call for the
-        rows, the metadata folded as the module docstring says.  A
+        pairs), truncated to ``window``: at most one ``combine_rows`` call
+        for the rows, the metadata folded as the module docstring says.  A
         coefficient with a denominator, in a term or in a multiplier, has
         no rows: its images are made by series products, as a sum of
         fractions needs, and added into the support."""
         ring = self.ring
         alg = ring.coeffs
-        nv, K = ring.nvars, ring.nvars + alg.total_d
+        nv = ring.nvars
         constant = ((INF,) * nv, 0, frozenset())
         metas = [(tuple(window), 0, frozenset())]
-        const_keys, const_vecs, blocks = [], [], []
+        rows = []  # (key-mapped X-exponents, image t-monomial, vector, multiplier)
         fractions = []
         twisted = [(alg.t_owner[k], k) in self.twists for k in range(alg.total_d)]
         scaled = alg.total_d and any(self.frob_exps)
+        stretched = any(k > 1 for k in self._fixed)
         for exps, c in terms:
             if c.den:
                 term = self.apply_coeff(c)
@@ -255,8 +269,10 @@ class RingEndo:
                 metas.append(term.meta())
                 fractions.append(term.support)
                 continue
-            moved = tuple(0 if f else e for e, f in zip(exps, self._fixed))
-            shift = tuple(e if f else 0 for e, f in zip(exps, self._fixed))
+            moved = tuple(0 if k else e for e, k in zip(exps, self._fixed))
+            shift = tuple(k * e for e, k in zip(exps, self._fixed))
+            if stretched:
+                check_keys([shift])
             moves = any(moved)
             cmetas = []  # of the twisted rows: the others' is the sum's identity
             for mono, vec in c.num.items():
@@ -267,43 +283,44 @@ class RingEndo:
                         cmetas.append(self._twist_power(tw).meta())
                     else:
                         tw = ()
-                rows = None  # the multiplier 1
+                mult = None  # the multiplier 1; else (its rows, the series)
                 if tw or moves:
-                    rows, mult = self._multiplier(tw, moved)
-                    if rows is None:  # a multiplier coefficient with a denominator
-                        fractions.append(self._fraction_rows(mult, shift, mono, vec))
+                    mult = self._multiplier(tw, moved)
+                    if mult[0] is None:  # a multiplier coefficient with a denominator
+                        fractions.append(_row_times(
+                            ring, mult[1].support, shift, self._image_mono(mono),
+                            self._frobenius(vec[None, :])[0], (INF,) * nv,
+                        ))
                         continue
-                const_keys.append(shift + (self._image_mono(mono) if scaled else mono))
-                const_vecs.append(vec)
-                blocks.append(rows)
+                rows.append((shift, self._image_mono(mono) if scaled else mono, vec, mult))
             cmeta = constant if not cmetas else (
                 cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
             )
             metas.append(self._term_meta(cmeta, tuple(exps)))
         out_window, pole_bound, pole_set = sum_meta(ring, metas)
         support = {}
-        if blocks:
-            kc = np.array(const_keys, dtype=np.int64)
-            vc = self._frobenius(np.array(const_vecs))
+        if all(mult is None for *_, mult in rows):
+            support = self._own_images(rows, out_window)
+        elif len(rows) == 1:
+            ((shift, mono, vec, (_, mult)),) = rows
+            support = _row_times(
+                ring, mult.support, shift, mono, self._frobenius(vec[None, :])[0],
+                out_window,
+            )
+        else:
+            kc = np.array([shift + mono for shift, mono, _, _ in rows], dtype=np.int64)
+            vc = self._frobenius(np.array([vec for _, _, vec, _ in rows]))
+            one = (
+                np.zeros((1, nv + alg.total_d), dtype=np.int64), alg.fd_one()[None, :]
+            )
+            blocks = [one if mult is None else mult[0] for *_, mult in rows]
+            km = np.concatenate([k for k, _ in blocks])
+            vm = np.concatenate([v for _, v in blocks])
+            owner = np.repeat(np.arange(len(blocks)), [len(k) for k, _ in blocks])
             limit = None
             if any(w != INF for w in out_window):
                 limit = np.array(out_window + (INF,) * alg.total_d)
-            if all(b is None for b in blocks):
-                # every row is its own image, under a distinct key
-                if limit is not None:
-                    keep = (kc <= limit).all(axis=1)
-                    kc, vc = kc[keep], vc[keep]
-                keys, vecs = kc, vc
-            elif len(blocks) == 1:
-                ((km, vm),) = blocks
-                keys, vecs = alg.combine_rows(kc, vc, km, vm, None, limit)
-            else:
-                one = (np.zeros((1, K), dtype=np.int64), alg.fd_one()[None, :])
-                blocks = [one if b is None else b for b in blocks]
-                km = np.concatenate([k for k, _ in blocks])
-                vm = np.concatenate([v for _, v in blocks])
-                owner = np.repeat(np.arange(len(blocks)), [len(k) for k, _ in blocks])
-                keys, vecs = alg.combine_rows(kc, vc, km, vm, owner, limit)
+            keys, vecs = alg.combine_rows(kc, vc, km, vm, owner, limit)
             support = _support_from_rows(ring, keys, vecs)
         finite = [(i, w) for i, w in enumerate(out_window) if w != INF]
         for part in fractions:
@@ -320,17 +337,23 @@ class RingEndo:
             ring, support, pole_bound, out_window, pole_set, clipped=True
         )
 
-    def _fraction_rows(self, mult, shift, mono, vec):
-        """The support of mult X^shift (t^mono', Frob(vec)), made term by
-        term: ``mult`` has a coefficient with a denominator."""
+    def _own_images(self, rows, window):
+        """The support of rows that have no multiplier, cut to ``window``:
+        each row is its own image, and rows of distinct terms have distinct
+        key-mapped exponents, so nothing is summed."""
         alg = self.ring.coeffs
-        row = CoeffElement(
-            alg, {self._image_mono(mono): self._frobenius(vec[None, :])[0]}, ()
-        )
-        return {
-            tuple(x + s for x, s in zip(e, shift)): c * row
-            for e, c in mult.support.items()
-        }
+        finite = [(i, w) for i, w in enumerate(window) if w != INF]
+        kept = [row for row in rows if not any(row[0][i] > w for i, w in finite)]
+        vecs = [vec for _, _, vec, _ in kept]
+        if kept and any(e % n for e, n in zip(self.frob_exps, alg.degrees)):
+            vecs = [v.copy() for v in self._frobenius(np.array(vecs))]
+        nums = {}
+        for (shift, mono, _, _), vec in zip(kept, vecs):
+            num = nums.get(shift)
+            if num is None:
+                nums[shift] = num = {}
+            num[mono] = vec
+        return {e: CoeffElement(alg, num, ()) for e, num in nums.items()}
 
     # -- composition ---------------------------------------------------
 
@@ -363,17 +386,19 @@ class RingEndo:
         )
 
 
-def _is_variable(img, alpha):
-    """Whether ``img`` is exactly the variable X_alpha."""
+def _monomial_exponent(img, alpha):
+    """k when ``img`` is exactly X_alpha^k (coefficient 1, exact, no
+    poles), else 0."""
     if len(img.support) != 1 or img.pole_bound:
-        return False
+        return 0
     ((exps, c),) = img.support.items()
-    if exps != tuple(int(i == alpha) for i in range(len(exps))) or c.den or len(c.num) != 1:
-        return False
+    if any(exps[:alpha]) or any(exps[alpha + 1:]) or c.den or len(c.num) != 1:
+        return 0
     ((mono, vec),) = c.num.items()
-    return not any(mono) and vec.tolist() == [1] + [0] * (len(vec) - 1) and all(
-        w == INF for w in img.window
-    )
+    one = vec.tolist()
+    if any(mono) or one[0] != 1 or any(one[1:]) or any(w != INF for w in img.window):
+        return 0
+    return exps[alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +413,11 @@ def identity_endo(ring: SeriesRingSpec) -> RingEndo:
     )
 
 
+def _x_power(ring, alpha, k):
+    """The monomial X_alpha^k, built directly rather than as a power."""
+    return ring.monomial(tuple(k if i == alpha else 0 for i in range(ring.nvars)))
+
+
 def _resolve_alpha(ring, alpha):
     if isinstance(alpha, str):
         if alpha in ring.var_index:
@@ -399,9 +429,7 @@ def _resolve_alpha(ring, alpha):
 def make_phi(ring: SeriesRingSpec, alpha) -> RingEndo:
     alpha = _resolve_alpha(ring, alpha)
     p = ring.coeffs.p
-    images = [
-        ring.var(i) ** p if i == alpha else ring.var(i) for i in range(ring.nvars)
-    ]
+    images = [_x_power(ring, i, p if i == alpha else 1) for i in range(ring.nvars)]
     exps = tuple(1 if i == alpha else 0 for i in range(ring.nvars))
     return RingEndo(ring, images, exps)
 
@@ -410,7 +438,7 @@ def make_phi_s(ring: SeriesRingSpec) -> RingEndo:
     p = ring.coeffs.p
     return RingEndo(
         ring,
-        tuple(ring.var(i) ** p for i in range(ring.nvars)),
+        tuple(_x_power(ring, i, p) for i in range(ring.nvars)),
         (1,) * ring.nvars,
     )
 

@@ -1,6 +1,7 @@
 """Arithmetic over the prime field GF(p): univariate polynomials, their
 irreducibility and factorization, and the square-and-multiply and
-multiplicative-order helpers the other modules share.
+multiplicative-order helpers the other modules share (orders come from
+the prime factors of p - 1, so they cost about sqrt(p) steps, not p).
 
 The library tests and picks its irreducible moduli here, and the
 CRT-splitting oracle factors its moduli over GF(p) here and takes the
@@ -41,14 +42,29 @@ def power(x, n: int, one, mul):
     return out
 
 
+def _prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def multiplicative_order(a: int, p: int) -> int:
-    """The order of a nonzero a in GF(p)^*."""
+    """The order of a nonzero a in GF(p)^*: start from p - 1 and divide out
+    each prime factor q of p - 1 while a to the quotient is still 1."""
     if a % p == 0:
         raise ValueError("0 has no multiplicative order")
-    order, x = 1, a % p
-    while x != 1:
-        x = x * a % p
-        order += 1
+    order = p - 1
+    for q in _prime_factors(p - 1):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
     return order
 
 

@@ -16,6 +16,12 @@ A product of two series is one call of the coefficient kernel
 ``CoefficientAlgebra.mul_rows``: every term of every coefficient becomes a
 row keyed by its X-exponents followed by its t-exponents, so all pair
 products, the window cut and the sums per exponent happen in one batch.
+When one operand is a single row (one term, one t-monomial, no
+denominator), such as a monomial or a constant, the product is a shift
+and a scale instead: the other operand's X-exponents shift by the row's,
+and all its coefficients go through ``CoefficientAlgebra.row_times``, one
+matmul with the row's left-multiplication matrix.  No keys are grouped,
+because the shifted keys stay distinct.
 Results of the ring operations are built without the public constructor's
 checks (their supports are nonzero and their poles lie in the pole set by
 construction); the window is still clipped and terms beyond it dropped.
@@ -35,6 +41,7 @@ from .coeff import (
     CoefficientAlgebra,
     NotInvertibleError,
     check_exponent,
+    check_keys,
     element_from_json,
     element_to_json,
     key_rows,
@@ -316,8 +323,12 @@ class LaurentElement:
         window, pole_bound, pole_set = product_meta(ring, self.meta(), other.meta())
         support = {}
         if self.support and other.support:
-            rows_a, rows_b = self._rows(), other._rows()
-            if rows_a is None or rows_b is None:
+            row, rest = other._one_row(), self
+            if row is None:
+                row, rest = self._one_row(), other
+            if row is not None:
+                support = _row_times(ring, rest.support, *row, window)
+            elif (rows_a := self._rows()) is None or (rows_b := other._rows()) is None:
                 support = self._pair_products(other, window)
             else:
                 limit = None
@@ -350,6 +361,17 @@ class LaurentElement:
                 else:
                     support[e] = s
         return support
+
+    def _one_row(self):
+        """(X-exponents, t-exponents, vector) of an element with one term
+        whose coefficient is one row (one t-monomial, no denominator);
+        None for any other element."""
+        if len(self.support) == 1:
+            ((e, c),) = self.support.items()
+            if not c.den and len(c.num) == 1:
+                ((m, v),) = c.num.items()
+                return e, m, v
+        return None
 
     def _rows(self):
         """Every term of every coefficient as a row: key (X-exponents,
@@ -615,6 +637,35 @@ def _support_from_rows(ring, keys, vecs):
             nums[e] = num = {}
         num[tuple(key[nv:])] = vec.copy()
     return {e: CoeffElement(ring.coeffs, num, ()) for e, num in nums.items()}
+
+
+def _row_times(ring, support, e0, m0, v0, window):
+    """The support ``support`` times the one-row term v0 t^m0 X^e0, cut to
+    ``window``: each exponent shifts by e0, and every coefficient goes
+    through ``CoefficientAlgebra.row_times`` in one batch, keeping its
+    denominator.  Shifted exponents past EXP_BOUND that survive the cut are
+    refused."""
+    finite = [(i, w) for i, w in enumerate(window) if w != INF]
+    shift = any(e0)
+    keys, coeffs = [], []
+    for e, c in support.items():
+        if shift:
+            e = tuple(map(operator.add, e, e0))
+        if finite and any(e[i] > w for i, w in finite):
+            continue
+        keys.append(e)
+        coeffs.append(c)
+    if not keys:
+        return {}
+    if shift:
+        check_keys(keys)
+    alg = ring.coeffs
+    nums = alg.row_times([c.num for c in coeffs], m0, v0)
+    return {
+        e: CoeffElement(alg, num, c.den)
+        for e, c, num in zip(keys, coeffs, nums)
+        if num
+    }
 
 
 def _minimal_corners(supp):

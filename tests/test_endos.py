@@ -303,6 +303,9 @@ def reference_apply(endo, a):
 
 SCALED = "X_a -> (1 + t) X_a"
 TRUNCATED = "X_a -> X_a + X_a^2 X_b, X_b -> X_b + X_a X_b^2"
+CUBED = "X_a -> X_a^3"
+CUBED_TWICE = "X_a -> 2 X_a^3"
+PHI_S = "phi_s"
 # (p, degrees, transcendentals per factor, precision, words)
 KERNEL_CASES = (
     (2, (1, 1), (1, 0), 6, (
@@ -311,7 +314,7 @@ KERNEL_CASES = (
     )),
     (3, (2, 1), (0, 2), 5, (
         "phi(b)", "phi(a)", "delta(b; 2, 1)", "gamma(a; 4) * delta(b; 1, 0)",
-        "phi(b) * delta(b; 0, 1) * phi(a)",
+        "phi(b) * delta(b; 0, 1) * phi(a)", CUBED, CUBED_TWICE, PHI_S,
     )),
     (3, (1,), (1,), 8, ("phi(a)^2", "delta(a; 1) * phi(a)", "gamma(a; 2) * delta(a; 2)")),
 )
@@ -323,7 +326,16 @@ def kernel_endo(ring, word):
     negative powers have coefficients with a denominator, and TRUNCATED
     X_a -> X_a + X_a^2 X_b and X_b -> X_b + X_a X_b^2, known only to
     windows 3 and 4, below the precision, so that the images' own windows
-    and not only the caps decide the product rule."""
+    and not only the caps decide the product rule.  CUBED names
+    X_a -> X_a^3, a key map e -> 3e, CUBED_TWICE X_a -> 2 X_a^3, which has
+    multipliers, and PHI_S the absolute Frobenius (every variable key-mapped
+    by p, the finite part and the transcendentals p-th powered)."""
+    if word == PHI_S:
+        return make_phi_s(ring)
+    if word in (CUBED, CUBED_TWICE):
+        image = ring.monomial((3,) + (0,) * (ring.nvars - 1), 2 if word == CUBED_TWICE else 1)
+        images = [image] + [ring.var(i) for i in range(1, ring.nvars)]
+        return RingEndo(ring, images, (0,) * ring.nvars)
     if word not in (SCALED, TRUNCATED):
         return parse_word(word, ring).to_endo(ring)
     alg = ring.coeffs
@@ -432,3 +444,50 @@ def test_apply_matches_dense_substitution(word, seed):
     got = dense(out).coeffs
     box = tuple(slice(0, W + 1 if w == INF else w + 1) for w in out.window)
     assert (got[box] == expected[box]).all()
+
+
+def test_key_mapped_variables_and_their_images():
+    # a variable whose image is exactly X_alpha^k maps keys e -> k e; any
+    # other image (a coefficient, a second term, a window) multiplies
+    ring = kernel_ring(1)
+    p = ring.coeffs.p
+    assert kernel_endo(ring, CUBED)._fixed == (3, 1)
+    assert kernel_endo(ring, CUBED_TWICE)._fixed == (0, 1)
+    assert kernel_endo(ring, PHI_S)._fixed == (p, p)
+    assert parse_word("phi(a)^2 * phi(b)", ring).to_endo(ring)._fixed == (p * p, p)
+    assert parse_word("gamma(a; 4) * delta(b; 1, 0)", ring).to_endo(ring)._fixed == (0, 1)
+    x = ring.var(0)
+    assert RingEndo(ring, [x.truncated((4, INF)), ring.var(1)], (0, 0))._fixed == (0, 1)
+    assert RingEndo(ring, [x * x + x**3, ring.var(1)], (0, 0))._fixed == (0, 1)
+
+
+@pytest.mark.parametrize("word", ["phi(a)", "phi(b)^2 * phi(a)", PHI_S, CUBED])
+def test_key_mapped_endomorphisms_run_no_kernel(monkeypatch, word):
+    from phigamma import CoefficientAlgebra
+
+    calls = []
+    for name in ("mul_rows", "combine_rows"):
+        kernel = getattr(CoefficientAlgebra, name)
+        monkeypatch.setattr(
+            CoefficientAlgebra, name,
+            lambda self, *a, kernel=kernel, **k: calls.append(1) or kernel(self, *a, **k),
+        )
+    ring = kernel_ring(1)
+    endo = kernel_endo(ring, word)
+    rng = random.Random(5)
+    for _ in range(4):
+        a = random_input(ring, rng, with_fraction=False)
+        assert_same_image(endo.apply(a), reference_apply(endo, a))
+    assert not calls
+
+
+def test_key_maps_refuse_exponents_past_the_bound():
+    ring = ring_for(2, [1, 1], prec=8)
+    endo = RingEndo(ring, [ring.monomial((2**61, 0)), ring.var(1)], (0, 0))
+    assert endo._fixed == (2**61, 1)
+    image = endo.apply(ring.monomial((2, 0)) + ring.var(1))
+    assert set(image.support) == {(2**62, 0), (0, 1)}  # 2^62 itself is kept
+    for exps in ((3, 0), (-3, 0)):
+        with pytest.raises(ValueError) as exc:
+            endo.apply(ring.monomial(exps))
+        assert str(exc.value) == "exponent out of range: exponents must lie in [-2^62, 2^62]"

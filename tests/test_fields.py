@@ -7,6 +7,7 @@ from phigamma.fields import (
     factor_squarefree,
     find_irreducible,
     is_irreducible,
+    is_prime,
     multiplicative_order,
     poly_gcd,
     poly_mul,
@@ -88,3 +89,20 @@ def test_power_and_multiplicative_order():
             assert all(pow(a, j, p) != 1 for j in range(1, k))
     with pytest.raises(ValueError):
         multiplicative_order(13, 13)
+
+
+def test_multiplicative_order_matches_the_stepping_loop():
+    # the order from the factors of p - 1 against x -> x a stepped to 1
+    def stepped(a, p):
+        order, x = 1, a % p
+        while x != 1:
+            x = x * a % p
+            order += 1
+        return order
+
+    for p in filter(is_prime, range(2, 200)):
+        assert [multiplicative_order(a, p) for a in range(1, p)] == [
+            stepped(a, p) for a in range(1, p)
+        ]
+        assert multiplicative_order(p + 1, p) == 1
+        assert multiplicative_order(-1, p) == stepped(p - 1, p)

@@ -1,0 +1,31 @@
+"""``scripts/output_digest.py`` on the split workload."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
+
+
+def test_canonical_form_ignores_dict_order_only():
+    digest = output_digest.digest
+    assert digest({"a": {(1, 2): [3], 4: 5}}) == digest({"a": {4: 5, (1, 2): [3]}})
+    assert digest([1, 2]) != digest([2, 1])
+    assert digest({"w": float("inf")}) != digest({"w": None})
+
+
+def test_split_digest_sees_every_output(capsys):
+    outputs = output_digest.outputs_of("split", 1)
+    assert len(outputs) == 296 and not any(failed for failed, _ in outputs.values())
+    first = output_digest.digest({1: outputs})
+    assert output_digest.main(["--workload", "split", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "split", "seeds=1", "outputs=296", "failed=0", first,
+    ]
+    # the problems' order does not count; one changed coefficient does
+    assert output_digest.digest({1: dict(reversed(outputs.items()))}) == first
+    _, plain = next(iter(outputs.values()))
+    plain["idempotents"][0][0] += 1
+    assert output_digest.digest({1: outputs}) != first

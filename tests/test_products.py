@@ -280,3 +280,122 @@ def test_public_constructor_keeps_its_checks():
         LaurentElement(ring, {(-2, 0): one}, 1, (INF, INF), frozenset({0}))
     kept = LaurentElement(ring, {(3, 0): one, (0, 0): ring.coeffs.zero()}, 0, (2, INF))
     assert kept.support == {}
+
+
+# ---------------------------------------------------------------------------
+# products with a one-row operand: a shift and a scale, no kernel call
+
+
+@st.composite
+def one_row(draw, ring):
+    """One term c t^m X^e: c a nonzero vector (for N > 1 optionally a zero
+    divisor, one component's part), m drawn per symbol, e in [-1, 3] (a
+    negative entry puts the variable in the pole set), optionally
+    truncated."""
+    alg = ring.coeffs
+    c = alg.from_fdelta([draw(st.integers(0, alg.p - 1)) for _ in range(alg.N)])
+    dec = alg.idempotent_decomposition()
+    if dec.ell > 1 and draw(st.booleans()):
+        e = alg.from_fdelta(dec.idempotents[draw(st.integers(0, dec.ell - 1))])
+        c = e if c.is_zero() or (c * e).is_zero() else c * e
+    elif c.is_zero():
+        c = alg.one()
+    for s in alg.tsymbols:
+        c = c * alg.t(s) ** draw(st.integers(0, 2))
+    exps = tuple(draw(st.integers(-1, 3)) for _ in range(ring.nvars))
+    row = ring.monomial(exps, c)
+    window = tuple(draw(st.sampled_from([INF, INF, 1, 3])) for _ in range(ring.nvars))
+    return row.truncated(window)
+
+
+@st.composite
+def ring_and_row_pair(draw):
+    """A one-row element and a drawn series, the series for N > 1
+    optionally times one component's idempotent, so that the row's
+    products with some of its terms vanish; either order."""
+    ring = cached_ring(*draw(st.sampled_from(SHAPES)))
+    row = draw(one_row(ring))
+    other = draw(series(ring))
+    dec = ring.coeffs.idempotent_decomposition()
+    if dec.ell > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, dec.ell - 1))
+        other = other + other.scale(ring.coeffs.from_fdelta(dec.idempotents[j]))
+    return (ring, row, other) if draw(st.booleans()) else (ring, other, row)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ring_and_row_pair())
+def test_one_row_products_match_references(data):
+    ring, a, b = data
+    prod = a * b
+    assert (prod.window, prod.pole_bound, prod.pole_set) == (
+        (b * a).window, (b * a).pole_bound, (b * a).pole_set
+    )
+    got = flat(prod)
+    assert all(within(k, prod.window) for k in got)
+    if ring.coeffs.N == 1:
+        assert got == dense_reference(a, b, prod.window)
+    assert got == pair_loop_reference(a, b, prod.window)
+    # every stored vector is its own array, not a view of a batch
+    assert all(v.base is None for c in prod.support.values() for v in c.num.values())
+
+
+def test_one_row_products_vanish_on_zero_divisors():
+    ring = ring_for(3, [2, 2], ds=[1, 0], prec=6)
+    alg = ring.coeffs
+    e0, e1 = (alg.from_fdelta(e) for e in alg.idempotent_decomposition().idempotents)
+    t = alg.t(alg.tsymbols[0])
+    row = ring.monomial((1, 0), e0 * t)
+    other = ring.monomial((0, 1), e1) + ring.monomial((2, 2), e0 + e1)
+    prod = row * other
+    assert set(prod.support) == {(3, 2)}  # the X_b term's product vanishes
+    assert prod.support[(3, 2)] == e0 * t
+    assert not (row * ring.monomial((0, 1), e1 * t)).support
+
+
+EXP_TEXT = "exponent out of range: exponents must lie in [-2^62, 2^62]"
+
+
+def test_one_row_products_refuse_exponents_past_the_bound():
+    ring = ring_for(2, [1, 1], ds=[1, 0], prec=4)
+    alg = ring.coeffs
+    big = ring.monomial((2**62, 0))
+    low = ring.monomial((-(2**62), 0))
+    t_big = ring.constant(alg.t(alg.tsymbols[0]) ** 2**62)
+    for a, b in [
+        (big, big), (big, ring.one() + ring.var(0)), (low, ring.monomial((-1, 1))),
+        (t_big, t_big + ring.var(1)),
+    ]:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError) as exc:
+                x * y
+            assert str(exc.value) == EXP_TEXT
+    # 2^62 itself is kept, and a term past a finite window is dropped first
+    kept = big * (ring.one() + ring.var(1))
+    assert set(kept.support) == {(2**62, 0), (2**62, 1)}
+    assert not (big * ring.var(0).truncated((0, INF))).support
+
+
+def test_one_row_products_make_no_kernel_call(monkeypatch):
+    from phigamma import CoefficientAlgebra
+
+    calls = []
+    kernel = CoefficientAlgebra.mul_rows
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoefficientAlgebra, "mul_rows", counted)
+    ring = ring_for(3, [2, 1], ds=[1, 0], prec=6)
+    alg = ring.coeffs
+    c = (alg.gen(0) + alg.one()) * alg.t(alg.tsymbols[0])
+    row = ring.monomial((1, -1), c)
+    dense = ring.one() + ring.var(0) * ring.constant(alg.gen(0) + alg.t(alg.tsymbols[0]))
+    for a, b in [(row, row), (row, dense), (dense, row), (ring.var(0), ring.var(1))]:
+        a * b
+    dense.scale(alg.gen(0))
+    alg.gen(0) * (alg.one() + alg.t(alg.tsymbols[0]))  # a one-term numerator
+    assert not calls
+    dense * dense
+    assert calls
