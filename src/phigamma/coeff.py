@@ -318,6 +318,7 @@ class CoefficientAlgebra:
         ``nums``, zero rows dropped; each vector is its own array, not a view
         of the batch.  Shifted t-monomials past EXP_BOUND are refused."""
         vecs = [v for num in nums for v in num.values()]
+        # ndarray.dot: on these small arrays its call costs less than @'s
         left = (v0.dot(self._mul_map) % self.p).reshape(self.N, self.N)
         if len(vecs) == 1:  # a fresh vector, not a row of a batch
             prods = [vecs[0].dot(left) % self.p]

@@ -339,8 +339,9 @@ class RingEndo:
 
     def _own_images(self, rows, window):
         """The support of rows that have no multiplier, cut to ``window``:
-        each row is its own image, and rows of distinct terms have distinct
-        key-mapped exponents, so nothing is summed."""
+        each row is its own image.  Such a row's term has exponents only in
+        key-mapped variables, and e -> k e is injective for k >= 1, so rows
+        of distinct terms have distinct keys and nothing is summed."""
         alg = self.ring.coeffs
         finite = [(i, w) for i, w in enumerate(window) if w != INF]
         kept = [row for row in rows if not any(row[0][i] > w for i, w in finite)]
