@@ -115,6 +115,18 @@ def main():
           doc(ring33, character={"gamma_values": [
               {"alpha": "a", "chi_order": 2, "value": 2},
               {"alpha": "b", "chi_order": 2, "value": 2}]}))
+    # the same pair at p = 10007 with the default moduli, both values -1
+    big = 10007
+    write("character_p10007_pair.json", {
+        "schema_version": 1,
+        "algebra": {"p": big, "factors": [
+            {"label": label, "n": 1, "transcendentals": []}
+            for label in "ab"]},
+        "precision": [big, big],
+        "character": {"gamma_values": [
+            {"alpha": label, "chi_order": 2, "value": big - 1}
+            for label in "ab"]},
+    })
     ringd = ring_for(3, [1], ds=[1], prec=9)
     write("character_p3_delta_unsupported.json",
           doc(ringd, character={"gamma_values": [],

@@ -15,8 +15,15 @@ linear system over the finite part.
 
 Extensions of the base ring are towers of Artin-Schreier (y^p - y = a,
 Galois y -> y+1) and Kummer (y^e = a with e | p-1, Galois y -> zeta*y)
-layers; Frobenius continuations to each layer are computed where the
-defining data allows and recorded as unavailable otherwise.
+layers.  Powers of a generator are in closed form: y^k = a^(k div e) *
+y^(k mod e) on a Kummer layer, and y^(p+j) = y^(j+1) + a*y^j for j <= p-2
+on an Artin-Schreier layer, which covers every product of two reduced
+elements.  A Kummer layer's Frobenius continuations follow one rule:
+phi_v(y) = y^k * w with k = p in the layer's own direction and k = 1 in the
+others, and w^e = phi_v(a)/a^k.  w = 1 when that quotient is 1 on the
+window; otherwise w is an e-th root found by enumerating the finite part,
+which is not tried past p^N = 2^16 candidates.  A continuation that cannot
+be found is recorded as unavailable.
 """
 
 from __future__ import annotations
@@ -69,37 +76,29 @@ class FiniteExtension:
         self.zeta = zeta
         self.phi_images = {}  # ring var -> dict {power: base elem}, or None
         self.phi_notes = {}
-        self._powers = None
 
-    def power_table(self, k):
-        """y^k as a dict {j: base coefficient} with j < degree."""
-        if self._powers is None:
-            self._powers = [{0: self.base.one()}, {1: self.base.one()}]
-        while len(self._powers) <= k:
-            n = len(self._powers)
-            if self.kind == "kummer":
-                q, rem = divmod(n, self.degree)
-                self._powers.append({rem: self.a**q})
-            else:
-                prev = self._powers[n - 1]
-                nxt = {}
-                for j, c in prev.items():
-                    if j + 1 < self.degree:
-                        nxt[j + 1] = nxt.get(j + 1, self.base.zero()) + c
-                    else:
-                        # y^p = y + a
-                        nxt[1] = nxt.get(1, self.base.zero()) + c
-                        nxt[0] = nxt.get(0, self.base.zero()) + c * self.a
-                self._powers.append(nxt)
-        return self._powers[k]
+    def power(self, k):
+        """y^k as a dict {j: base coefficient} with j < degree.
+
+        An Artin-Schreier layer gives y^k for k <= 2p - 2, the largest
+        exponent in a product of two reduced elements, and refuses more.
+        """
+        if self.kind == "kummer":
+            q, rem = divmod(k, self.degree)
+            return {rem: self.a**q}
+        if k < self.degree:
+            return {k: self.base.one()}
+        if k > 2 * self.degree - 2:
+            raise ValueError(f"y^{k} is past y^(2p-2) on an artin-schreier layer")
+        # y^p = y + a, so y^(p+j) = y^(j+1) + a*y^j
+        j = k - self.degree
+        return {j + 1: self.base.one(), j: self.a}
 
     def galois_coeffs(self, k):
         """Image of y^k under the Galois generator, as {j: F_p scalar}."""
         p = self.base.coeffs.p
         if self.kind == "kummer":
             return {k: pow(self.zeta, k, p)}
-        import math
-
         return {j: math.comb(k, j) % p for j in range(k + 1) if math.comb(k, j) % p}
 
     def galois_matrix(self):
@@ -118,8 +117,6 @@ class FiniteExtension:
             return pow(self.zeta, self.degree, base.coeffs.p) == 1
         # (y+1)^p - (y+1) = y^p - y in characteristic p
         p = base.coeffs.p
-        import math
-
         return all(math.comb(p, j) % p == 0 for j in range(1, p))
 
 
@@ -229,34 +226,19 @@ def build_kummer(base: SeriesRingSpec, a: LaurentElement, e: int, alpha=0):
     ext = FiniteExtension(base, "kummer", alpha, e, a, zeta)
     a_inv = a.invert()
     for v in range(base.nvars):
-        endo = make_phi(base, v)
-        if v != alpha:
-            # the layer lives in the alpha direction: phi_v(y) = s*y with
-            # s^e = phi_v(a)/a, the degree-1 root
-            q = endo.apply(a) * a_inv
-            if q.eq_window(base.one()):
-                ext.phi_images[v] = {1: base.one()}
-                ext.phi_notes[v] = "ok"
-                continue
-            s, note = _eth_root(base, q, e)
-            if s is None:
+        # phi_v(y) = y^k * w with w^e = phi_v(a) / a^k; the layer lives in
+        # the alpha direction, where k = p
+        k = p if v == alpha else 1
+        q = make_phi(base, v).apply(a) * a_inv**k
+        w = None
+        if not q.eq_window(base.one()):
+            w, note = _eth_root(base, q, e)
+            if w is None:
                 ext.phi_images[v] = None
                 ext.phi_notes[v] = f"frobenius continuation unavailable: {note}"
-            else:
-                ext.phi_images[v] = {1: s}
-                ext.phi_notes[v] = "ok"
-            continue
-        # phi_alpha(y) = y^p * w with w^e = phi_alpha(a) / a^p
-        q = endo.apply(a) * a_inv**p
-        w, note = _eth_root(base, q, e)
-        if w is None:
-            ext.phi_images[v] = None
-            ext.phi_notes[v] = f"frobenius continuation unavailable: {note}"
-            continue
-        img = {}
-        for j, c in ext.power_table(p).items():
-            img[j] = c * w
-        ext.phi_images[v] = img
+                continue
+        img = ext.power(k)
+        ext.phi_images[v] = img if w is None else {j: c * w for j, c in img.items()}
         ext.phi_notes[v] = "ok"
     assert ext.relation_check()
     return ext
@@ -332,6 +314,16 @@ def _fd_eth_root(alg: CoefficientAlgebra, x, e):
 # towers
 
 
+def _collect(pieces):
+    """The tower element summing (generator powers, base element) pieces
+    per key, with zero sums dropped."""
+    out = {}
+    for t, c in pieces:
+        cur = out.get(t)
+        out[t] = c if cur is None else cur + c
+    return {t: c for t, c in out.items() if c.support}
+
+
 class ExtensionTower:
     """A stack of extension layers over a common base ring.
 
@@ -354,42 +346,31 @@ class ExtensionTower:
         return self.from_base(self.ring.one())
 
     def add(self, a, b):
-        out = dict(a)
-        for t, c in b.items():
-            cur = out.get(t)
-            out[t] = c if cur is None else cur + c
-        return self._clean(out)
+        return _collect(itertools.chain(a.items(), b.items()))
 
     def scale(self, a, x: LaurentElement):
-        return self._clean({t: c * x for t, c in a.items()})
-
-    def _clean(self, a):
-        return {t: c for t, c in a.items() if c.support}
+        return _collect((t, c * x) for t, c in a.items())
 
     def reduce_monomial(self, tpow, coeff):
         items = [((), coeff)]
-        for i, layer in enumerate(self.layers):
-            tbl = layer.power_table(tpow[i])
+        for layer, k in zip(self.layers, tpow):
+            tbl = layer.power(k)
             items = [
                 (pref + (j,), c * mult)
                 for pref, c in items
                 for j, mult in tbl.items()
             ]
-        out = {}
-        for t, c in items:
-            cur = out.get(t)
-            out[t] = c if cur is None else cur + c
-        return self._clean(out)
+        return _collect(items)
 
     def mul(self, a, b):
-        out = {}
-        for t1, c1 in a.items():
-            for t2, c2 in b.items():
-                t = tuple(x + y for x, y in zip(t1, t2))
-                for tr, cr in self.reduce_monomial(t, c1 * c2).items():
-                    cur = out.get(tr)
-                    out[tr] = cr if cur is None else cur + cr
-        return self._clean(out)
+        return _collect(
+            piece
+            for t1, c1 in a.items()
+            for t2, c2 in b.items()
+            for piece in self.reduce_monomial(
+                tuple(x + y for x, y in zip(t1, t2)), c1 * c2
+            ).items()
+        )
 
     def pow(self, a, n):
         return power(a, n, self.one(), self.mul)
@@ -400,40 +381,37 @@ class ExtensionTower:
             self._phi_endos[alpha] = make_phi(self.ring, alpha)
         endo = self._phi_endos[alpha]
         gen_images = []
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             img = layer.phi_images.get(alpha)
             if img is None:
                 raise BudgetExceededError(
                     f"layer has no frobenius continuation: {layer.phi_notes.get(alpha)}"
                 )
-            gen_images.append(img)
-        out = {}
-        for tpow, c in a.items():
+            gen_images.append({
+                tuple(j if l == i else 0 for l in range(len(self.layers))): v
+                for j, v in img.items()
+            })
+
+        def image(tpow, c):
             term = self.from_base(endo.apply(c))
-            for i, k in enumerate(tpow):
-                if k == 0:
-                    continue
-                layer_img = {
-                    tuple(j if l == i else 0 for l in range(len(self.layers))): v
-                    for j, v in gen_images[i].items()
-                }
-                term = self.mul(term, self.pow(layer_img, k))
-            for t, v in term.items():
-                cur = out.get(t)
-                out[t] = v if cur is None else cur + v
-        return self._clean(out)
+            for img, k in zip(gen_images, tpow):
+                if k:
+                    term = self.mul(term, self.pow(img, k))
+            return term
+
+        return _collect(
+            piece for tpow, c in a.items() for piece in image(tpow, c).items()
+        )
 
     def apply_galois(self, layer_index, a):
         """The Galois generator of one layer (base coefficients fixed)."""
         layer = self.layers[layer_index]
-        out = {}
-        for tpow, c in a.items():
-            for j, s in layer.galois_coeffs(tpow[layer_index]).items():
-                t = tuple(j if l == layer_index else k for l, k in enumerate(tpow))
-                piece = c.scale(s)
-                cur = out.get(t)
-                out[t] = piece if cur is None else cur + piece
-        return self._clean(out)
+        return _collect(
+            (tuple(j if l == layer_index else k for l, k in enumerate(tpow)),
+             c.scale(s))
+            for tpow, c in a.items()
+            for j, s in layer.galois_coeffs(tpow[layer_index]).items()
+        )
 
     def eq_window(self, a, b):
         diff = self.add(a, {t: -c for t, c in b.items()})
@@ -565,71 +543,57 @@ def _module_phi_multipliers(module: PhiGammaModule, alpha):
 
 
 def _build_slot_ops(sys: FrobFixedSystem):
-    """One slot map per operator.
+    """Each operator's step, per (coordinate, tower powers).
 
-    A slot is (coordinate, tower powers, x-exponents, t-monomial).  Each
-    operator sends a slot to a single slot together with an invertible
-    F_p-linear map on the finite-part coefficient.
+    A slot is (coordinate, tower powers, x-exponents, t-monomial).  phi_alpha
+    sends it to a single slot: the coordinate stays, the tower powers become
+    the step's, the alpha exponent x becomes p*x and the step's shift is
+    added to the x-exponents, and every t-exponent of factor alpha is
+    multiplied by p; the coefficient goes through the step's invertible
+    F_p-linear map M.  Returns ``([(alpha, {(coord, tpow): (new tpow, shift,
+    M)})], rank)``.
     """
     ring = sys.ring
     alg = ring.coeffs
     p = alg.p
     rank = sys.module.rank if sys.module else 1
+    layers = sys.tower.layers if sys.tower else []
+    towpows = list(itertools.product(*(range(l.degree) for l in layers)))
     ops = []
     for alpha in sys.operators:
         mults = (
-            _module_phi_multipliers(sys.module, alpha) if sys.module else None
+            _module_phi_multipliers(sys.module, alpha) if sys.module
+            else [((0,) * ring.nvars, None)]
         )
         layer_info = []
-        if sys.tower:
-            for layer in sys.tower.layers:
-                if layer.alpha != alpha:
-                    layer_info.append(None)
-                    continue
-                if layer.kind != "kummer":
-                    raise NotImplementedError(
-                        "slot solver supports kummer layers only"
-                    )
-                ((exps, c),) = layer.a.support.items()
-                if not c.is_constant() or not np.array_equal(
-                    c.constant_fd(), alg.fd_one()
-                ):
-                    raise NotImplementedError(
-                        "slot solver requires monic monomial kummer data"
-                    )
-                layer_info.append((layer.degree, exps))
+        for i, layer in enumerate(layers):
+            if layer.alpha != alpha:
+                continue
+            if layer.kind != "kummer":
+                raise NotImplementedError(
+                    "slot solver supports kummer layers only"
+                )
+            ((exps, c),) = layer.a.support.items()
+            if not c.is_constant() or not np.array_equal(
+                c.constant_fd(), alg.fd_one()
+            ):
+                raise NotImplementedError(
+                    "slot solver requires monic monomial kummer data"
+                )
+            layer_info.append((i, layer.degree, exps))
         frob = alg.frob_matrices[alpha]
-
-        def op(slot, alpha=alpha, mults=mults, layer_info=layer_info, frob=frob):
-            coord, tpow, xexp, tmono = slot
-            shift = [0] * ring.nvars
-            new_tpow = list(tpow)
-            for i, info in enumerate(layer_info):
-                if info is None:
-                    continue
-                e, aexps = info
-                pk = p * tpow[i]
-                q, rem = divmod(pk, e)
-                new_tpow[i] = rem
-                for v in range(ring.nvars):
-                    shift[v] += q * aexps[v]
-            M = frob
-            if mults is not None:
-                aexps, avec = mults[coord]
-                for v in range(ring.nvars):
-                    shift[v] += aexps[v]
-                M = (alg.fd_mul_matrix(avec) @ frob) % p
-            new_xexp = tuple(
-                (p * e if v == alpha else e) + shift[v]
-                for v, e in enumerate(xexp)
-            )
-            new_tmono = tuple(
-                m * p if alg.t_owner[i] == alpha else m
-                for i, m in enumerate(tmono)
-            )
-            return (coord, tuple(new_tpow), new_xexp, new_tmono), M
-
-        ops.append((alpha, op))
+        steps = {}
+        for coord, (xshift, avec) in enumerate(mults):
+            M = frob if avec is None else (alg.fd_mul_matrix(avec) @ frob) % p
+            for tpow in towpows:
+                # phi_alpha(y^t) = y^(p*t) = a^(p*t div e) * y^(p*t mod e)
+                shift = list(xshift)
+                new_tpow = list(tpow)
+                for i, e, aexps in layer_info:
+                    q, new_tpow[i] = divmod(p * tpow[i], e)
+                    shift = [s + q * x for s, x in zip(shift, aexps)]
+                steps[coord, tpow] = (tuple(new_tpow), shift, M)
+        ops.append((alpha, steps))
     return ops, rank
 
 
@@ -692,19 +656,28 @@ def solve_fixed_points(sys: FrobFixedSystem):
     # or outside W'), whose equation forces 0 forward along the chain.
     fixed = []
     for s in _enumerate_slots(sys, rank):
+        coord, tpow, xexp, tmono = s
         maps = []
-        for _, op in ops:
-            u, M = op(s)
+        for alpha, steps in ops:
+            new_tpow, shift, M = steps[coord, tpow]
+            new_xexp = tuple(
+                (p * e if v == alpha else e) + c
+                for v, (e, c) in enumerate(zip(xexp, shift))
+            )
             if any(
                 e > sys.window[v]
-                for v, e in enumerate(u[2])
+                for v, e in enumerate(new_xexp)
                 if not (sys.quotient and v == sys.quotient[0])
             ):
                 raise SubwindowError(
                     "operator image escapes the certified window; "
                     "shrink W' or grow W"
                 )
-            if u == s:
+            new_tmono = tuple(
+                m * p if alg.t_owner[i] == alpha else m
+                for i, m in enumerate(tmono)
+            )
+            if (new_tpow, new_xexp, new_tmono) == (tpow, xexp, tmono):
                 maps.append(M)
         if len(maps) == len(ops):
             fixed.append((s, maps))
@@ -830,15 +803,12 @@ def solve_quotient_fixed_points(ring: SeriesRingSpec, alpha, r,
 # characters and the rank-1 functors
 
 
-def canonical_chi(ring: SeriesRingSpec, extra_digits=2):
+def canonical_chi(ring: SeriesRingSpec):
     """The canonical topological generator value: a lift of a primitive root
-    mod p, with enough digits for the ring's precision."""
+    mod p (3 for p = 2), with two digits past the ring's precision."""
     p = ring.coeffs.p
     g = _primitive_root_power(p, p - 1) if p > 2 else 3
-    M = digits_for_window(p, max(ring.precision)) + extra_digits
-    if p == 2:
-        return PAdicUnitApprox(2, 3, M)
-    return PAdicUnitApprox(p, g, M)
+    return PAdicUnitApprox(p, g, digits_for_window(p, max(ring.precision)) + 2)
 
 
 def parse_character(ring: SeriesRingSpec, data: dict):
@@ -1002,48 +972,41 @@ def _twist_key(b):
     return tuple(getattr(x, "residue", x) for x in b)
 
 
+def _tensor_generators(gens1, gens2, key):
+    """Each generator of gens1 times its first unused partner in gens2 with
+    the same alpha and the same ``key`` of its parameter, then the unmatched
+    generators of gens2, the other factor acting trivially."""
+    out = []
+    used = set()
+    for alpha, c, A in gens1:
+        scalar = A[0][0]
+        for i, (a2, c2, A2) in enumerate(gens2):
+            if i not in used and a2 == alpha and key(c2) == key(c):
+                used.add(i)
+                scalar = scalar * A2[0][0]
+                break
+        out.append((alpha, c, [[scalar]]))
+    out += [(a2, c2, [[A2[0][0]]])
+            for i, (a2, c2, A2) in enumerate(gens2) if i not in used]
+    return out
+
+
 def tensor_rank_one(D1: PhiGammaModule, D2: PhiGammaModule) -> PhiGammaModule:
     """Tensor product of rank-1 modules: the scalars multiply.
 
-    Gamma generators are matched by (alpha, chi); unmatched generators carry
-    over with the other factor acting trivially."""
+    Gamma generators are matched by (alpha, chi residue) and delta
+    generators by (alpha, twist); unmatched generators carry over with the
+    other factor acting trivially."""
     if D1.rank != 1 or D2.rank != 1:
         raise ValueError("rank-1 modules only")
-    ring = D1.ring
     phis = {
         a: [[D1.phi_matrices[a][0][0] * D2.phi_matrices[a][0][0]]]
         for a in D1.phi_matrices
     }
-    gammas = []
-    used = set()
-    for alpha, c, A in D1.gamma_generators:
-        partner = None
-        for i, (a2, c2, A2) in enumerate(D2.gamma_generators):
-            if i not in used and a2 == alpha and c2.residue == c.residue:
-                partner = i
-                break
-        scalar = A[0][0]
-        if partner is not None:
-            used.add(partner)
-            scalar = scalar * D2.gamma_generators[partner][2][0][0]
-        gammas.append((alpha, c, [[scalar]]))
-    for i, (a2, c2, A2) in enumerate(D2.gamma_generators):
-        if i not in used:
-            gammas.append((a2, c2, [[A2[0][0]]]))
-    deltas = []
-    used = set()
-    for alpha, b, A in D1.delta_generators:
-        partner = None
-        for i, (a2, b2, A2) in enumerate(D2.delta_generators):
-            if i not in used and a2 == alpha and _twist_key(b2) == _twist_key(b):
-                partner = i
-                break
-        scalar = A[0][0]
-        if partner is not None:
-            used.add(partner)
-            scalar = scalar * D2.delta_generators[partner][2][0][0]
-        deltas.append((alpha, b, [[scalar]]))
-    for i, (a2, b2, A2) in enumerate(D2.delta_generators):
-        if i not in used:
-            deltas.append((a2, b2, [[A2[0][0]]]))
-    return PhiGammaModule(ring, 1, phis, gammas, deltas)
+    gammas = _tensor_generators(
+        D1.gamma_generators, D2.gamma_generators, lambda c: c.residue
+    )
+    deltas = _tensor_generators(
+        D1.delta_generators, D2.delta_generators, _twist_key
+    )
+    return PhiGammaModule(D1.ring, 1, phis, gammas, deltas)

@@ -268,7 +268,7 @@ def _congruent_identity_mod_xdelta(D, A):
     return True
 
 
-def check_relations(D: PhiGammaModule, check_semidirect=True):
+def check_relations(D: PhiGammaModule):
     """Verify all matrix cocycle identities up to the certified window."""
     results = []
 
@@ -318,33 +318,32 @@ def check_relations(D: PhiGammaModule, check_semidirect=True):
                 _word_matrix(D, k1, k2),
                 _word_matrix(D, k2, k1),
             )
-    if check_semidirect:
-        for gi, (ga, c, _) in enumerate(D.gamma_generators):
-            for di, (da, b, Ad) in enumerate(D.delta_generators):
-                if ga != da:
-                    continue
-                gkey, dkey = ("gamma", gi), ("delta", di)
-                Aginv = _inverse_gamma_matrix(D, gi)
-                # lhs: gamma o delta o gamma^{-1}
-                lhs = mat_mul(
-                    D.matrix(gkey),
-                    mat_apply(
-                        D.endo(gkey),
-                        mat_mul(Ad, mat_apply(D.endo(dkey), Aginv)),
-                    ),
-                )
-                rhs = _delta_power_matrix(D, di, c)
-                note = (
-                    None
-                    if _congruent_identity_mod_xdelta(D, Ad)
-                    else f"checked at digit precision M={c.M}"
-                )
-                record(
-                    f"gamma#{gi} delta#{di} gamma#{gi}^-1 = delta#{di}^chi",
-                    lhs,
-                    rhs,
-                    note,
-                )
+    for gi, (ga, c, _) in enumerate(D.gamma_generators):
+        for di, (da, b, Ad) in enumerate(D.delta_generators):
+            if ga != da:
+                continue
+            gkey, dkey = ("gamma", gi), ("delta", di)
+            Aginv = _inverse_gamma_matrix(D, gi)
+            # lhs: gamma o delta o gamma^{-1}
+            lhs = mat_mul(
+                D.matrix(gkey),
+                mat_apply(
+                    D.endo(gkey),
+                    mat_mul(Ad, mat_apply(D.endo(dkey), Aginv)),
+                ),
+            )
+            rhs = _delta_power_matrix(D, di, c)
+            note = (
+                None
+                if _congruent_identity_mod_xdelta(D, Ad)
+                else f"checked at digit precision M={c.M}"
+            )
+            record(
+                f"gamma#{gi} delta#{di} gamma#{gi}^-1 = delta#{di}^chi",
+                lhs,
+                rhs,
+                note,
+            )
     return {"pass": all(r["status"] == "pass" for r in results), "checks": results}
 
 
@@ -353,12 +352,13 @@ def check_relations(D: PhiGammaModule, check_semidirect=True):
 
 
 def rank_one_from_units(ring: SeriesRingSpec, a_alpha, gamma_units=(),
-                        delta_units=(), validate=True):
+                        delta_units=()):
     """The rank-1 module with phi_alpha acting by the unit a_alpha and each
     group generator g by the unit a_g.
 
     ``a_alpha``: dict alpha -> LaurentElement; ``gamma_units``: iterable of
-    (alpha, c, unit); ``delta_units``: iterable of (alpha, b, unit).
+    (alpha, c, unit); ``delta_units``: iterable of (alpha, b, unit).  Scalars
+    that break a relation of ``check_relations`` raise ``RelationError``.
     """
     for alpha, u in a_alpha.items():
         if u.unit_verdict() != "unit":
@@ -375,11 +375,10 @@ def rank_one_from_units(ring: SeriesRingSpec, a_alpha, gamma_units=(),
         [(alpha, c, [[u]]) for alpha, c, u in gamma_units],
         [(alpha, tuple(b), [[u]]) for alpha, b, u in delta_units],
     )
-    if validate:
-        rel = check_relations(D)
-        if not rel["pass"]:
-            bad = [r for r in rel["checks"] if r["status"] != "pass"]
-            raise RelationError(f"incompatible rank-1 scalars: {bad}")
+    rel = check_relations(D)
+    if not rel["pass"]:
+        bad = [r for r in rel["checks"] if r["status"] != "pass"]
+        raise RelationError(f"incompatible rank-1 scalars: {bad}")
     return D
 
 

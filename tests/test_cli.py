@@ -105,6 +105,30 @@ def test_roundtrip_cli(capsys):
     assert rep["recovered_values"]["a"] == 2
 
 
+def test_roundtrip_at_p10007_within_two_seconds(tmp_path, capsys):
+    # character_p3_pair.json at p = 10007: default moduli, both values -1
+    # (of order 2) and precision [p, p]; this is the shipped
+    # character_p10007_pair.json
+    p = 10007
+    cfg = json.loads((DATA / "character_p3_pair.json").read_text())
+    cfg["algebra"]["p"] = p
+    for factor in cfg["algebra"]["factors"]:
+        del factor["modulus"]
+    for entry in cfg["character"]["gamma_values"]:
+        entry["value"] = p - 1
+    cfg["precision"] = [p, p]
+    assert cfg == json.loads((DATA / "character_p10007_pair.json").read_text())
+    path = tmp_path / "character.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code, rep = run(capsys, "roundtrip", "--config", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert rep["pass"] is True
+    assert rep["dimension"] == 1
+    assert rep["recovered_values"] == {"a": p - 1, "b": p - 1}
+
+
 def test_roundtrip_budget_exceeded(capsys):
     code, rep = run(capsys, "roundtrip", "--config",
                     str(DATA / "character_p3_delta_unsupported.json"))

@@ -7,6 +7,7 @@ from conftest import DATA, ring_for
 from phigamma import (
     BudgetExceededError,
     ExtensionTower,
+    FiniteExtension,
     FrobFixedSystem,
     SubwindowError,
     algebra_from_json,
@@ -228,6 +229,60 @@ def test_kummer_root_enumeration_cap_is_not_a_verdict(degs):
             assert note == "ok"
 
 
+@pytest.mark.parametrize("p,e", [(5, 4), (7, 3)])
+def test_kummer_frobenii_are_pth_powers_and_commute(p, e):
+    # phi_a(X_a)/X_a^p = 1, so phi_a(y) = y^p with no root of unity chosen;
+    # a non-scalar root of 1 in the finite part would break phi_a phi_b =
+    # phi_b phi_a on y
+    ring = ring_for(p, [2, 2], prec=2 * p)
+    tower = ExtensionTower(ring, [build_kummer(ring, ring.var(0), e)])
+    y = {(1,): ring.one()}
+    phi_a_y = tower.apply_phi(0, y)
+    assert tower.eq_window(phi_a_y, tower.pow(y, p))
+    assert tower.eq_window(tower.apply_phi(0, tower.apply_phi(1, y)),
+                           tower.apply_phi(1, phi_a_y))
+
+
+def stepped_powers(ext, k):
+    """y^k by stepping y^n -> y^(n+1) from y^1, reducing by y^e = a or
+    y^p = y + a: the reference for ``FiniteExtension.power``."""
+    base = ext.base
+    powers = [{0: base.one()}, {1: base.one()}]
+    for n in range(2, k + 1):
+        if ext.kind == "kummer":
+            q, rem = divmod(n, ext.degree)
+            powers.append({rem: ext.a**q})
+            continue
+        nxt = {}
+        for j, c in powers[n - 1].items():
+            if j + 1 < ext.degree:
+                nxt[j + 1] = nxt.get(j + 1, base.zero()) + c
+            else:
+                nxt[1] = nxt.get(1, base.zero()) + c
+                nxt[0] = nxt.get(0, base.zero()) + c * ext.a
+        powers.append(nxt)
+    return powers[k]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_powers_match_stepping(p):
+    ring = ring_for(p, [1, 1], prec=8)
+    a = ring.one() + ring.var(0) + ring.monomial((-1, 2))
+    layers = [FiniteExtension(ring, "artin_schreier", 0, p, a)]
+    layers += [FiniteExtension(ring, "kummer", 0, e, a)
+               for e in range(1, p) if (p - 1) % e == 0]
+    for ext in layers:
+        for k in sorted(set(range(2 * ext.degree - 1)) | {p}):
+            got, want = ext.power(k), stepped_powers(ext, k)
+            assert sorted(got) == sorted(want), (ext.kind, ext.degree, k)
+            for j in want:
+                assert got[j].eq_window(want[j]), (ext.kind, ext.degree, k, j)
+                assert got[j].window == want[j].window
+                assert got[j].pole_bound == want[j].pole_bound
+    with pytest.raises(ValueError):
+        layers[0].power(2 * p - 1)
+
+
 def test_kummer_cross_variable_continuation():
     ring = ring_for(3, [1, 1], prec=9)
     ext = build_kummer(ring, ring.var(0), 2, alpha=0)
@@ -300,6 +355,17 @@ def test_roundtrip_recovers_character(name, values):
     assert rep["dimension"] == 1
     recovered = {a: v for a, v in rep["recovered_values"].items() if v != 1}
     assert recovered == values
+
+
+def test_roundtrip_past_the_root_enumeration_cap():
+    # 13^6 candidate roots exceed the enumeration cap, but the quotients
+    # phi_v(X_a)/X_a^k are 1 and need no root search
+    ring = ring_for(13, [2, 3], prec=13)
+    rep = roundtrip_V_of_D(ring, {"gamma_values": [
+        {"alpha": "a", "chi_order": 4, "value": 5}]})
+    assert rep["pass"], rep["checks"]
+    assert rep["dimension"] == 1
+    assert rep["recovered_values"] == {"a": 5, "b": 1}
 
 
 def test_delta_character_out_of_budget():
