@@ -138,6 +138,15 @@ def main():
           doc(ring22, window=8, subwindow=4, expect_dim=1))
     write("fixed_points_quotient_p2.json",
           doc(ring22, quotient={"alpha": "a", "r": 2}, expect_dim=4))
+    # phi_b = X_b^-1 on a rank-1 module: modulo X_a^2 the fixed monomials
+    # are X_b and X_a X_b, each with the 2-dimensional phi_b-fixed part of
+    # the finite part
+    shifted = rank_one_from_units(
+        ring22, {0: ring22.one(), 1: ring22.monomial((0, -1))}
+    )
+    write("fixed_points_quotient_module_p2.json",
+          doc(ring22, module=module_to_json(shifted),
+              quotient={"alpha": "a", "r": 2}, expect_dim=4))
 
     # -- dplusplus battery (trivial module) ----------------------------
     x_delta = laurent_to_json(ring22.x_delta())

@@ -32,7 +32,6 @@ from .descent import (
     SubwindowError,
     roundtrip_V_of_D,
     solve_fixed_points,
-    solve_quotient_fixed_points,
 )
 from .endos import parse_word
 from .modules import (
@@ -78,12 +77,6 @@ def _base_report(cfg, seed):
 def _ring_from_config(cfg) -> SeriesRingSpec:
     alg = algebra_from_json(cfg["algebra"])
     return SeriesRingSpec(alg, cfg.get("precision", 8))
-
-
-def _run_named_checks(named):
-    """Run (name, callable) pairs; the results are listed in name order."""
-    results = {name: fn() for name, fn in named}
-    return [{"name": name, **results[name]} for name in sorted(results)]
 
 
 def _emit(report, out_path):
@@ -136,11 +129,10 @@ def cmd_idempotents(cfg, args):
 def cmd_check_module(cfg, args):
     ring = _ring_from_config(cfg)
     D = module_from_json(ring, cfg["module"])
-    named = [
-        ("etale", lambda: check_etale(D)),
-        ("relations", lambda: check_relations(D)),
+    results = [
+        {"name": "etale", **check_etale(D)},
+        {"name": "relations", **check_relations(D)},
     ]
-    results = _run_named_checks(named)
     ok = all(r["pass"] for r in results)
     report = _base_report(cfg, args.seed)
     report.update({"checks": results, "pass": ok})
@@ -151,27 +143,17 @@ def cmd_fixed_points(cfg, args):
     ring = _ring_from_config(cfg)
     alg = ring.coeffs
     expect = args.expect_dim if args.expect_dim is not None else cfg.get("expect_dim")
+    operators = cfg.get("operators")
+    if operators is not None:
+        operators = tuple(alg.label_index(a) for a in operators)
     quotient = cfg.get("quotient")
     if quotient is not None:
-        alpha = alg.label_index(quotient["alpha"])
-        sol = solve_quotient_fixed_points(
-            ring, alpha, int(quotient["r"]), t_cap=cfg.get("t_cap", 4)
-        )
-    else:
-        operators = cfg.get("operators")
-        if operators is not None:
-            operators = tuple(alg.label_index(a) for a in operators)
-        ambient = ring
-        if "module" in cfg:
-            ambient = module_from_json(ring, cfg["module"])
-        sys_ = FrobFixedSystem(
-            ambient,
-            operators=operators,
-            window=cfg.get("window"),
-            subwindow=cfg.get("subwindow"),
-            t_cap=cfg.get("t_cap", 4),
-        )
-        sol = solve_fixed_points(sys_)
+        quotient = (alg.label_index(quotient["alpha"]), quotient["r"])
+    ambient = module_from_json(ring, cfg["module"]) if "module" in cfg else ring
+    sol = solve_fixed_points(FrobFixedSystem(
+        ambient, operators, cfg.get("window"), cfg.get("subwindow"),
+        cfg.get("t_cap", 4), quotient,
+    ))
     report = _base_report(cfg, args.seed)
     report.update(
         {
@@ -189,12 +171,7 @@ def cmd_fixed_points(cfg, args):
 
 def _serialize_solution(v):
     if isinstance(v, list):
-        return [_serialize_solution(x) for x in v]
-    if isinstance(v, dict):
-        return [
-            {"tower_powers": list(t), "value": laurent_to_json(c)}
-            for t, c in sorted(v.items())
-        ]
+        return [laurent_to_json(x) for x in v]
     return laurent_to_json(v)
 
 
@@ -204,15 +181,11 @@ def cmd_dplusplus(cfg, args):
     M = Lattice(D, mat_identity(ring, D.rank))
     cert = dplusplus_certified_lattice(D, M)
     elements = [_parse_vector(ring, D, e) for e in cfg.get("elements", [])]
-    named = []
-    for i, x in enumerate(elements):
-        named.append(
-            (f"element_{i:03d}", lambda x=x: {
-                "dplusplus": in_dplusplus(D, M, x),
-                "dplus": in_dplus(D, M, x),
-            })
-        )
-    results = _run_named_checks(named)
+    results = [
+        {"name": f"element_{i:03d}", "dplusplus": in_dplusplus(D, M, x),
+         "dplus": in_dplus(D, M, x)}
+        for i, x in enumerate(elements)
+    ]
     report = _base_report(cfg, args.seed)
     report.update(
         {

@@ -21,9 +21,11 @@ on an Artin-Schreier layer, which covers every product of two reduced
 elements.  A Kummer layer's Frobenius continuations follow one rule:
 phi_v(y) = y^k * w with k = p in the layer's own direction and k = 1 in the
 others, and w^e = phi_v(a)/a^k.  w = 1 when that quotient is 1 on the
-window; otherwise w is an e-th root found by enumerating the finite part,
-which is not tried past p^N = 2^16 candidates.  A continuation that cannot
-be found is recorded as unavailable.
+window; otherwise w is an e-th root, a binomial series times a root r0 of
+the constant term.  r0 = 1 when the constant term is 1; any other r0 is
+found by enumerating the finite part, which is not tried past p^N = 2^16
+candidates.  A continuation that cannot be found is recorded as
+unavailable.
 """
 
 from __future__ import annotations
@@ -253,8 +255,8 @@ def _primitive_root_power(p, e):
 
 
 def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
-    """An e-th root of a unit q = q0*(1+h), via enumeration for q0 and a
-    binomial series for the principal part."""
+    """An e-th root of a unit q = q0*(1+h): r0 = 1 when q0 = 1 (a principal
+    unit), else r0 by enumeration, times a binomial series for 1+h."""
     alg = ring.coeffs
     p = alg.p
     if not q.support:
@@ -266,9 +268,12 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
     q0 = c0.constant_fd() if c0.is_constant() else None
     if q0 is None:
         return None, "nonconstant corner coefficient"
-    r0, note = _fd_eth_root(alg, q0, e)
-    if r0 is None:
-        return None, note
+    if np.array_equal(q0 % p, alg.fd_one()):
+        r0 = alg.fd_one()
+    else:
+        r0, note = _fd_eth_root(alg, q0, e)
+        if r0 is None:
+            return None, note
     r0inv = alg.fd_inv(r0)
     scaled = q.scale(alg.from_fdelta(alg.fd_pow(r0inv, e)))
     h = scaled - ring.one()
@@ -453,21 +458,30 @@ class ExtensionTower:
 class FrobFixedSystem:
     """A simultaneous fixed-point problem for a set of phi_alpha operators.
 
-    ``ambient`` is a SeriesRingSpec, a PhiGammaModule (with monomial-diagonal
-    phi matrices), an ExtensionTower, or a (tower, module) pair.  ``window``
-    is the certified exponent region W, ``subwindow`` the solution support
-    region W' with p*W' <= W.
+    ``ambient`` is one of three shapes, and the solutions come back in it:
+    a SeriesRingSpec (series), a PhiGammaModule with monomial-diagonal phi
+    matrices (coordinate vectors of series), or a (tower, module) pair of
+    an ExtensionTower and a module over its base ring (coordinate vectors
+    of tower elements).  Inside, every problem is a tower, with no layers
+    for the first two shapes, and an optional module.  ``window`` is the
+    certified exponent region W, ``subwindow`` the solution support region
+    W' with p*W' <= W.  ``quotient`` = (alpha, r) works modulo X_alpha^r;
+    its operators are then every phi_beta with beta != alpha by default,
+    and phi_alpha is refused.
     """
 
     def __init__(self, ambient, operators=None, window=None, subwindow=None,
                  t_cap=4, quotient=None):
-        ring, tower, module = _ambient_parts(ambient)
-        self.ring = ring
-        self.tower = tower
-        self.module = module
-        self.operators = tuple(
-            operators if operators is not None else range(ring.nvars)
-        )
+        self.ambient = ambient
+        if isinstance(ambient, tuple):
+            self.tower, self.module = ambient
+        elif isinstance(ambient, PhiGammaModule):
+            self.tower, self.module = ExtensionTower(ambient.ring, []), ambient
+        elif isinstance(ambient, SeriesRingSpec):
+            self.tower, self.module = ExtensionTower(ambient, []), None
+        else:
+            raise TypeError(f"unsupported ambient {ambient!r}")
+        ring = self.ring = self.tower.ring
         p = ring.coeffs.p
         window = _sizes(
             "window", ring.precision if window is None else window, ring.nvars
@@ -480,6 +494,10 @@ class FrobFixedSystem:
         if quotient is not None:
             quotient = (quotient[0], _size("quotient r", quotient[1]))
         self.quotient = quotient  # (alpha, r) or None
+        if operators is None:
+            operators = (v for v in range(ring.nvars)
+                         if not (quotient and v == quotient[0]))
+        self.operators = tuple(operators)
         for alpha in self.operators:
             if self.quotient and alpha == self.quotient[0]:
                 raise ValueError("cannot include phi of the quotient variable")
@@ -502,19 +520,6 @@ def _sizes(name, value, n):
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ValueError(f"{name} must be an int or a list of {n} ints")
     return tuple(_size(name, v) for v in value)
-
-
-def _ambient_parts(ambient):
-    if isinstance(ambient, SeriesRingSpec):
-        return ambient, None, None
-    if isinstance(ambient, ExtensionTower):
-        return ambient.ring, ambient, None
-    if isinstance(ambient, PhiGammaModule):
-        return ambient.ring, None, ambient
-    if isinstance(ambient, tuple) and len(ambient) == 2:
-        tower, module = ambient
-        return tower.ring, tower, module
-    raise TypeError(f"unsupported ambient {ambient!r}")
 
 
 def _module_phi_multipliers(module: PhiGammaModule, alpha):
@@ -557,7 +562,7 @@ def _build_slot_ops(sys: FrobFixedSystem):
     alg = ring.coeffs
     p = alg.p
     rank = sys.module.rank if sys.module else 1
-    layers = sys.tower.layers if sys.tower else []
+    layers = sys.tower.layers
     towpows = list(itertools.product(*(range(l.degree) for l in layers)))
     ops = []
     for alpha in sys.operators:
@@ -607,9 +612,7 @@ def _enumerate_slots(sys: FrobFixedSystem, rank):
         else range(sys.subwindow[v] + 1)
         for v in range(ring.nvars)
     ]
-    towranges = list(
-        itertools.product(*(range(d) for d in sys.tower.degrees)) if sys.tower else [()]
-    )
+    towranges = list(itertools.product(*(range(d) for d in sys.tower.degrees)))
     # every range starts at 0; a degree past MAX_SLOTS puts a box with
     # transcendentals over the cap, and one without them has only t = ()
     t = min(sys.t_cap, MAX_SLOTS)
@@ -700,103 +703,83 @@ def solve_fixed_points(sys: FrobFixedSystem):
             entry = (s, np.array(vec, dtype=np.int64) % p)
             (unconfirmed if boundary else basis).append(entry)
     elements = [_slot_to_element(sys, s, vec) for s, vec in basis]
-    checks = _recheck_fixed(sys, elements)
+    checks = [
+        {"basis_vector": idx, "fixed_under_all_operators": all(
+            _agrees(sys, _apply_phi(sys, alpha, el), el)
+            for alpha in sys.operators
+        )}
+        for idx, el in enumerate(elements)
+    ]
     return {
         "dimension": len(basis),
-        "basis": elements,
-        "basis_slots": basis,
-        "unconfirmed": [_slot_to_element(sys, s, v) for s, v in unconfirmed],
+        "basis": [_to_ambient(sys, el) for el in elements],
+        "unconfirmed": [
+            _to_ambient(sys, _slot_to_element(sys, s, v)) for s, v in unconfirmed
+        ],
         "checks": checks,
     }
 
 
 def _slot_to_element(sys, slot, vec):
-    ring = sys.ring
-    alg = ring.coeffs
+    """The slot's element: one tower element per module coordinate."""
     coord, tpow, xexp, tmono = slot
-    c = CoeffElement(alg, {tuple(tmono): np.array(vec, dtype=np.int64)}, ())
-    base = ring.monomial(xexp, c)
-    if sys.tower:
-        el = {tuple(tpow): base}
-    else:
-        el = base
-    if sys.module:
-        vecout = [
-            el if i == coord else (sys.tower.from_base(ring.zero()) if sys.tower else ring.zero())
-            for i in range(sys.module.rank)
-        ]
-        return vecout
-    return el
+    c = CoeffElement(
+        sys.ring.coeffs, {tuple(tmono): np.array(vec, dtype=np.int64)}, ()
+    )
+    base = sys.ring.monomial(xexp, c)
+    rank = sys.module.rank if sys.module else 1
+    return [{tuple(tpow): base} if i == coord else {} for i in range(rank)]
 
 
-def _recheck_fixed(sys, elements):
-    """Independent soundness check: apply the real operators directly."""
-    results = []
-    for idx, el in enumerate(elements):
-        ok = True
-        for alpha in sys.operators:
-            img = _apply_ambient_phi(sys, alpha, el)
-            if not _ambient_eq(sys, img, el):
-                ok = False
-        results.append({"basis_vector": idx, "fixed_under_all_operators": ok})
-    return results
-
-
-def _apply_ambient_phi(sys, alpha, el):
-    tower, module = sys.tower, sys.module
-    if module and not tower:
-        return module.act(("phi", alpha), el)
-    if not module:
-        return tower.apply_phi(alpha, el) if tower else make_phi(sys.ring, alpha).apply(el)
+def _apply_phi(sys, alpha, el):
+    """The real operator, as an independent check of the slot maps: the
+    tower's phi_alpha on each coordinate, then the module's phi matrix."""
+    tower = sys.tower
     imgs = [tower.apply_phi(alpha, x) for x in el]
-    zero = tower.from_base(sys.ring.zero())
+    if not sys.module:
+        return imgs
     return [
-        functools.reduce(tower.add, map(tower.scale, imgs, row), zero)
-        for row in module.phi_matrices[alpha]
+        functools.reduce(tower.add, map(tower.scale, imgs, row), {})
+        for row in sys.module.phi_matrices[alpha]
     ]
 
 
-def _ambient_eq(sys, a, b):
-    if sys.module:
-        return all(_single_eq(sys, x, y) for x, y in zip(a, b))
-    return _single_eq(sys, a, b)
+def _agrees(sys, a, b):
+    """a = b on the certified window, coordinate by coordinate and tower
+    power by tower power; in a quotient by X_alpha^r the terms with
+    X_alpha-exponent >= r are dropped first."""
+    zero = sys.ring.zero()
+
+    def clip(x):
+        if not sys.quotient:
+            return x
+        qa, qr = sys.quotient
+        support = {e: c for e, c in x.support.items() if e[qa] < qr}
+        return LaurentElement(x.ring, support, x.pole_bound, x.window, x.pole_set)
+
+    return all(
+        clip(x.get(t, zero)).eq_window(clip(y.get(t, zero)))
+        for x, y in zip(a, b)
+        for t in x.keys() | y.keys()
+    )
 
 
-def _single_eq(sys, a, b):
-    if sys.tower:
-        if sys.quotient:
-            return sys.tower.eq_window(
-                _quotient_clip(sys, a), _quotient_clip(sys, b)
-            )
-        return sys.tower.eq_window(a, b)
-    if sys.quotient:
-        a, b = _quotient_clip(sys, a), _quotient_clip(sys, b)
-    return a.eq_window(b)
+def _to_ambient(sys, el):
+    """A solution in the caller's shape: the tower vector for a (tower,
+    module) pair, else the base coordinates, one series for a ring."""
+    if isinstance(sys.ambient, tuple):
+        return el
+    coords = [x.get((), sys.ring.zero()) for x in el]
+    return coords if sys.module else coords[0]
 
 
-def _quotient_clip(sys, x):
-    qa, qr = sys.quotient
-    if isinstance(x, dict):
-        return {t: _quotient_clip_one(sys.ring, c, qa, qr) for t, c in x.items()}
-    return _quotient_clip_one(sys.ring, x, qa, qr)
-
-
-def _quotient_clip_one(ring, x, qa, qr):
-    support = {e: c for e, c in x.support.items() if e[qa] < qr}
-    return LaurentElement(ring, support, x.pole_bound, x.window, x.pole_set)
-
-
-def solve_quotient_fixed_points(ring: SeriesRingSpec, alpha, r,
-                                operators=None, t_cap=4):
+def solve_quotient_fixed_points(ring: SeriesRingSpec, alpha, r, t_cap=4):
     """Fixed points of the phi_beta (beta != alpha) in the quotient by
     X_alpha^r.  Desk-scale counterpart of the k_alpha[X_alpha]/(X_alpha^r)
     computation."""
-    if operators is None:
-        operators = tuple(b for b in range(ring.nvars) if b != alpha)
-    sys = FrobFixedSystem(
-        ring, operators=operators, quotient=(alpha, r), t_cap=t_cap
+    return solve_fixed_points(
+        FrobFixedSystem(ring, quotient=(alpha, r), t_cap=t_cap)
     )
-    return solve_fixed_points(sys)
 
 
 # ---------------------------------------------------------------------------
@@ -903,11 +886,10 @@ def roundtrip_V_of_D(ring: SeriesRingSpec, character: dict, expect_dim=1):
     data = functor_D_rank1(ring, character)
     D = data["module"]
     tower = data["tower"]
-    ambient = (tower, D) if tower.layers else D
     p = ring.coeffs.p
     # tower slots shift x-exponents by up to p-1, so shrink W' accordingly
     sub = tuple(max(0, (w - (p - 1)) // p) for w in ring.precision)
-    sys = FrobFixedSystem(ambient, subwindow=sub)
+    sys = FrobFixedSystem((tower, D), subwindow=sub)
     sol = solve_fixed_points(sys)
     checks = list(sol["checks"])
     ok = sol["dimension"] == expect_dim
@@ -918,9 +900,7 @@ def roundtrip_V_of_D(ring: SeriesRingSpec, character: dict, expect_dim=1):
     if ok and sol["basis"]:
         vecs = sol["basis"][0]
         base_supported = all(
-            (not isinstance(x, dict))
-            or all(not c.support for t, c in x.items() if any(t))
-            for x in vecs
+            not c.support for x in vecs for t, c in x.items() if any(t)
         )
         checks.append({"check": "solution_in_base", "pass": base_supported})
         if base_supported:
@@ -955,16 +935,10 @@ def roundtrip_V_of_D(ring: SeriesRingSpec, character: dict, expect_dim=1):
 def _strip_tower(vecs):
     out = []
     for x in vecs:
-        if isinstance(x, dict):
-            base = None
-            for t, c in x.items():
-                if not any(t):
-                    base = c
-            if base is None:
-                raise ValueError("vector has no base component")
-            out.append(base)
-        else:
-            out.append(x)
+        base = [c for t, c in x.items() if not any(t)]
+        if not base:
+            raise ValueError("vector has no base component")
+        out.append(base[0])
     return out
 
 

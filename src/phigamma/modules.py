@@ -465,11 +465,11 @@ class Lattice:
         return "undecided", c
 
 
-def phi_s_denominator(D: PhiGammaModule, M: Lattice, r_max=None):
-    """The least r >= 0 with phi_s(M) contained in X_Delta^{-r} M."""
+def phi_s_denominator(D: PhiGammaModule, M: Lattice):
+    """The least r >= 0 with phi_s(M) contained in X_Delta^{-r} M, searched
+    up to p times the largest precision."""
     ring = D.ring
-    if r_max is None:
-        r_max = max(w for w in ring.precision) * ring.coeffs.p
+    r_max = max(ring.precision) * ring.coeffs.p
     images = [D.act_phi_s(g) for g in M.generators]
     for r in range(r_max + 1):
         xr = ring.x_delta(r)
@@ -510,17 +510,20 @@ def dplusplus_certified_lattice(D: PhiGammaModule, M: Lattice):
     return cert
 
 
-def in_dplusplus(D: PhiGammaModule, M: Lattice, x, k_max=6):
+ORBIT_STEPS = 6  # phi_s steps tried before a membership reads "unknown"
+
+
+def in_dplusplus(D: PhiGammaModule, M: Lattice, x):
     """Does the phi_s-orbit of x tend to 0?  Three-valued."""
-    return _orbit_membership(D, M, x, k_max, plusplus=True)
+    return _orbit_membership(D, M, x, plusplus=True)
 
 
-def in_dplus(D: PhiGammaModule, M: Lattice, x, k_max=6):
+def in_dplus(D: PhiGammaModule, M: Lattice, x):
     """Is the phi_s-orbit of x bounded?  Three-valued."""
-    return _orbit_membership(D, M, x, k_max, plusplus=False)
+    return _orbit_membership(D, M, x, plusplus=False)
 
 
-def _orbit_membership(D, M, x, k_max, plusplus):
+def _orbit_membership(D, M, x, plusplus):
     ring = D.ring
     if D.is_trivial() and D.rank == 1:
         # exact criterion: valuations scale by p under phi_s
@@ -536,7 +539,7 @@ def _orbit_membership(D, M, x, k_max, plusplus):
     cert = dplusplus_certified_lattice(D, M)
     target = cert["lattice"] if plusplus else M
     y = list(x)
-    for _ in range(k_max + 1):
+    for _ in range(ORBIT_STEPS + 1):
         verdict, _ = target.membership(y)
         if verdict == "yes":
             return "yes_certified"

@@ -82,6 +82,46 @@ def test_fixed_points_quotient(capsys):
     assert rep["dimension"] == 4
 
 
+def basis_monomials(rep):
+    """The monomials of a fixed-point report's basis, one per term."""
+    return {
+        tuple(sorted(term["exps"].items()))
+        for vec in rep["basis"] for x in vec for term in x["terms"]
+    }
+
+
+def test_fixed_points_quotient_of_a_module(capsys):
+    # phi_b = X_b^-1 modulo X_a^2: the module's fixed monomials, not the
+    # ring's {1, X_a}
+    code, rep = run(capsys, "fixed-points", "--config",
+                    str(DATA / "fixed_points_quotient_module_p2.json"))
+    assert code == 0 and rep["dimension"] == 4
+    assert basis_monomials(rep) == {(("X_b", 1),), (("X_a", 1), ("X_b", 1))}
+
+
+def test_fixed_points_quotient_honours_subwindow(tmp_path, capsys):
+    path = tmp_path / "fp.json"
+    cfg = json.loads((DATA / "fixed_points_quotient_module_p2.json").read_text())
+    # W'_b = 1 puts X_b on the boundary, W'_b = 0 leaves it out of the box
+    for sub, unconfirmed in (([4, 1], 4), ([4, 0], 0)):
+        path.write_text(json.dumps({**cfg, "subwindow": sub}))
+        code, rep = run(capsys, "fixed-points", "--config", str(path))
+        assert code == 1
+        assert (rep["dimension"], rep["unconfirmed"]) == (0, unconfirmed)
+    path.write_text(json.dumps({**cfg, "subwindow": [4, 5]}))
+    code, rep = run(capsys, "fixed-points", "--config", str(path))
+    assert code == 2 and rep["error"] == "p*W' > W in direction X_b"
+
+
+def test_fixed_points_quotient_refuses_its_own_phi(tmp_path, capsys):
+    cfg = json.loads((DATA / "fixed_points_quotient_p2.json").read_text())
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps({**cfg, "operators": ["a", "b"]}))
+    code, rep = run(capsys, "fixed-points", "--config", str(path))
+    assert code == 2
+    assert "cannot include phi of the quotient variable" in rep["error"]
+
+
 def test_dplusplus_battery(capsys):
     code, rep = run(capsys, "dplusplus", "--config",
                     str(DATA / "dplusplus_trivial_p2.json"))

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, ring_for
 from phigamma import (
@@ -108,6 +110,53 @@ def test_solver_matches_enumeration_on_shifting_modules(p, degs, shift, c, dim):
         for el in all_box_elements(ring, (2,) * ring.nvars)
     )
     assert count == p**dim
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_solver_brackets_box_enumeration(data):
+    # the ring or a rank-1 module with phi_alpha = c X_alpha^s, optionally
+    # modulo X_a^r, under a random set of operators: the elements of the
+    # box that they all fix, counted one by one, lie between p^dimension
+    # and p^(dimension + unconfirmed)
+    p, degs = data.draw(st.sampled_from([(2, [1, 1]), (3, [1, 1]), (2, [2, 1])]))
+    ring = ring_for(p, degs, prec=p + 1)
+    quotient = data.draw(st.sampled_from([None, (0, 1), (0, 2)]))
+    D = None
+    if data.draw(st.booleans()):
+        # the other phi fixes c X_alpha^s, so the phi relations hold
+        alpha, s = data.draw(st.integers(0, 1)), data.draw(st.integers(-1, 1))
+        scalars = {a: ring.one() for a in range(2)}
+        scalars[alpha] = ring.monomial(
+            tuple(s if v == alpha else 0 for v in range(2)),
+            data.draw(st.integers(1, p - 1)))
+        D = rank_one_from_units(ring, scalars)
+    allowed = [v for v in range(2) if not (quotient and v == quotient[0])]
+    operators = tuple(data.draw(st.lists(st.sampled_from(allowed), unique=True)))
+    # W' = 1 and W = p + 1 leave room for a shift of +1
+    rep = solve_fixed_points(FrobFixedSystem(
+        D or ring, operators, p + 1, 1, 0, quotient))
+    assert all(chk["fixed_under_all_operators"] for chk in rep["checks"])
+
+    def clip(x):
+        if quotient is None:
+            return x
+        qa, r = quotient
+        return sum((ring.monomial(e, c) for e, c in x.support.items() if e[qa] < r),
+                   ring.zero())
+
+    def phi(a, el):
+        return D.act(("phi", a), [el])[0] if D else make_phi(ring, a).apply(el)
+
+    box = tuple(quotient[1] - 1 if quotient and v == quotient[0] else 1
+                for v in range(2))
+    count = sum(
+        all(clip(phi(a, el)) == clip(el) for a in operators)
+        for el in all_box_elements(ring, box)
+    )
+    lo = rep["dimension"]
+    hi = lo + len(rep["unconfirmed"])
+    assert p**lo <= count <= p**hi
 
 
 def test_solver_refuses_negative_and_oversized_boxes():
@@ -218,15 +267,18 @@ def test_kummer_continuation_satisfies_relation(p, e, mk):
 
 @pytest.mark.parametrize("degs", [(1, 1), (2, 2), (3, 3)])
 def test_kummer_root_enumeration_cap_is_not_a_verdict(degs):
-    # the constant term 1 is an e-th power; at degrees (3, 3) the p^N = 5^9
-    # candidate roots exceed the enumeration cap, which must read as a cap
+    # a = 1 + X_b: every phi_v(a)/a^k has constant term 1, whose root is 1
+    # with no search, so even the p^N = 5^9 candidates at degrees (3, 3)
+    # are never enumerated
     ring = ring_for(5, list(degs), prec=6)
     ext = build_kummer(ring, ring.one() + ring.var(1), 2, alpha=0)
-    for note in ext.phi_notes.values():
-        if degs == (3, 3):
+    assert all(note == "ok" for note in ext.phi_notes.values())
+    if degs == (3, 3):
+        # a = y_b + X_b: the constant terms y_b^(1-p) and y_b^(p-1) need
+        # the search, and past the cap that must read as a cap
+        a = ring.constant(ring.coeffs.gen(1)) + ring.var(1)
+        for note in build_kummer(ring, a, 2, alpha=0).phi_notes.values():
             assert note.startswith("frobenius continuation unavailable: enumeration cap")
-        else:
-            assert note == "ok"
 
 
 @pytest.mark.parametrize("p,e", [(5, 4), (7, 3)])
@@ -241,6 +293,23 @@ def test_kummer_frobenii_are_pth_powers_and_commute(p, e):
     assert tower.eq_window(phi_a_y, tower.pow(y, p))
     assert tower.eq_window(tower.apply_phi(0, tower.apply_phi(1, y)),
                            tower.apply_phi(1, phi_a_y))
+
+
+def test_kummer_root_of_a_principal_unit_has_constant_term_one():
+    # a = 1 + X_b at p = 5, degrees (2, 2), e = 4: phi_v(a)/a^k has
+    # constant term 1, and so has its root, not another 4th root of 1 in
+    # the finite part
+    ring = ring_for(5, [2, 2], prec=6)
+    a = ring.one() + ring.var(1)
+    tower = ExtensionTower(ring, [build_kummer(ring, a, 4)])
+    y = {(1,): ring.one()}
+    for v in range(2):
+        img = tower.apply_phi(v, y)
+        assert img[(1,)].support[(0, 0)].constant_fd().tolist() == [1, 0, 0, 0]
+        assert tower.eq_window(tower.pow(img, 4),
+                               tower.from_base(make_phi(ring, v).apply(a)))
+    assert tower.eq_window(tower.apply_phi(0, tower.apply_phi(1, y)),
+                           tower.apply_phi(1, tower.apply_phi(0, y)))
 
 
 def stepped_powers(ext, k):
