@@ -255,12 +255,20 @@ def _primitive_root_power(p, e):
 
 
 def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
-    """An e-th root of a unit q = q0*(1+h): r0 = 1 when q0 = 1 (a principal
-    unit), else r0 by enumeration, times a binomial series for 1+h."""
+    """An e-th root of a unit q = X^m*q0*(1+h): X^(m/e) when q's least
+    exponents m are a term of q and e | m, times r0 = 1 when q0 = 1 (a
+    principal unit), else r0 by enumeration, times a binomial series for
+    1+h."""
     alg = ring.coeffs
     p = alg.p
     if not q.support:
         return None, "zero has no unit root"
+    target = q
+    m = tuple(map(min, zip(*q.support)))
+    lead = None
+    if any(m) and m in q.support and not any(x % e for x in m):
+        lead = tuple(x // e for x in m)
+        q = q.monomial_shift(tuple(-x for x in m))
     zero_exp = (0,) * ring.nvars
     c0 = q.support.get(zero_exp)
     if c0 is None:
@@ -295,7 +303,9 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
         if coeff:
             w = w + hk.scale(coeff)
     w = w.scale(alg.from_fdelta(r0))
-    if (w**e).eq_window(q):
+    if lead is not None:
+        w = w.monomial_shift(lead)
+    if (w**e).eq_window(target):
         return w, None
     return None, "root verification failed"
 

@@ -363,7 +363,11 @@ class RingEndo:
         ring = self.ring
         alg = ring.coeffs
         p = alg.p
-        var_images = tuple(self.apply(img) for img in other.var_images)
+        # where other sends X_beta to X_beta itself, the image is self's own
+        var_images = tuple(
+            own if k == 1 else self.apply(img)
+            for img, k, own in zip(other.var_images, other._fixed, self.var_images)
+        )
         frob_exps = tuple(a + b for a, b in zip(self.frob_exps, other.frob_exps))
         twists = {}
         for k in range(alg.total_d):
@@ -507,10 +511,11 @@ class OperatorWord:
         return OperatorWord(out)
 
     def to_endo(self, ring: SeriesRingSpec) -> RingEndo:
-        endo = identity_endo(ring)
-        for f in self.factors:
-            endo = endo.compose(_factor_endo(ring, f))
-        return endo
+        if not self.factors:
+            return identity_endo(ring)
+        return functools.reduce(
+            RingEndo.compose, (_factor_endo(ring, f) for f in self.factors)
+        )
 
     def __repr__(self):
         bits = []

@@ -573,9 +573,19 @@ class LaurentElement:
     def invert(self):
         """The inverse, exact on the returned window.
 
-        Per idempotent component the element is corner * (1 + h) with h of
-        positive total degree after the corner shift; the geometric series of
-        h terminates on any finite window.
+        Per idempotent component b_j the element is corner * (b_j - g) with
+        g of positive total degree after the corner shift, so its inverse
+        there is the series b_j + g + g^2 + ... (g = b_j g).  Only terms of
+        total degree <= D = sum of the precision caps fit in a window, so
+        the series is cut after g^D and taken by doubling:
+        (b_j + g)(b_j + g^2)(b_j + g^4)... = sum of g^i for i < 2^k, in
+        2 ceil(log2(D + 1)) - 2 products, stopping once 2^k > D.  Every
+        product and sum folds only g's window (cut to the caps), pole bound
+        0 and pole set with the exact metadata of b_j, so the window, pole
+        bound and pole set are those of the term-by-term geometric series;
+        g has no negative exponent, so cutting a factor to the window
+        changes no coefficient on it, and the values there are that
+        series' values.
         """
         verdict, corners = self._corner_analysis()
         if verdict != "unit":
@@ -583,6 +593,7 @@ class LaurentElement:
         ring = self.ring
         alg = ring.coeffs
         dec = alg.idempotent_decomposition()
+        D = sum(ring.precision)
         total = ring.zero()
         for j, (v, c_test) in corners.items():
             w = c_test.invert()
@@ -594,16 +605,16 @@ class LaurentElement:
                 aj = self.scale(bj)
                 unit_part = ring.constant(bj)
             shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
-            h = shifted - unit_part  # all terms have total degree >= 1
-            if not h.support:
+            g = unit_part - shifted  # all terms have total degree >= 1
+            if not g.support:
                 inv = unit_part.truncated(shifted.window)
             else:
-                h = h.truncated(ring.precision)
-                inv = unit_part
-                # h^k has total degree >= k, so it dies once k exceeds the
-                # sum of the per-variable windows
-                for _ in range(sum(ring.precision) + 1):
-                    inv = unit_part - h * inv
+                g = g.truncated(ring.precision)
+                inv, pw, reach = unit_part + g, g, 2
+                while reach <= D:
+                    pw = pw * pw
+                    inv = inv + inv * pw
+                    reach *= 2
             total = total + inv.scale(w).monomial_shift(tuple(-x for x in v))
         return total
 

@@ -312,6 +312,29 @@ def test_kummer_root_of_a_principal_unit_has_constant_term_one():
                            tower.apply_phi(1, tower.apply_phi(0, y)))
 
 
+def test_kummer_root_of_a_monomial_quotient():
+    # a = X_b at p = 5, degrees (1, 1), e = 2: phi_b(a)/a = X_b^4 and
+    # phi_a(a)/a^5 = X_b^-4 have no constant term; their least monomials
+    # come out as X_b^2 and X_b^-2
+    p, e = 5, 2
+    ring = ring_for(p, [1, 1], prec=8)
+    a = ring.var(1)
+    ext = build_kummer(ring, a, e, alpha=0)
+    assert ext.phi_notes == {0: "ok", 1: "ok"}
+    tower = ExtensionTower(ring, [ext])
+    y = {(1,): ring.one()}
+    for v, k in ((0, p), (1, 1)):
+        # phi_v(y) = y^k w with w^e = phi_v(a) a^-k
+        ((j, c),) = ext.power(k).items()
+        assert ext.phi_images[v].keys() == {j}
+        w = ext.phi_images[v][j] * c.invert()
+        assert (w**e).eq_window(make_phi(ring, v).apply(a) * a.invert() ** k)
+        assert tower.eq_window(tower.pow(tower.apply_phi(v, y), e),
+                               tower.from_base(make_phi(ring, v).apply(a)))
+    assert tower.eq_window(tower.apply_phi(0, tower.apply_phi(1, y)),
+                           tower.apply_phi(1, tower.apply_phi(0, y)))
+
+
 def stepped_powers(ext, k):
     """y^k by stepping y^n -> y^(n+1) from y^1, reducing by y^e = a or
     y^p = y + a: the reference for ``FiniteExtension.power``."""

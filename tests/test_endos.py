@@ -23,6 +23,7 @@ from phigamma import (
     parse_word,
     verify_commutation,
 )
+from phigamma.endos import _factor_endo
 from phigamma.oracles import DensePolynomial, dense_substitute
 from phigamma.series import laurent_to_json
 
@@ -493,3 +494,44 @@ def test_key_maps_refuse_exponents_past_the_bound():
         with pytest.raises(ValueError) as exc:
             endo.apply(ring.monomial(exps))
         assert str(exc.value) == "exponent out of range: exponents must lie in [-2^62, 2^62]"
+
+
+@pytest.mark.parametrize("outer,inner", [
+    # phi_a fixes X_b and sends X_a to X_a^3; gamma_b moves X_b
+    (lambda r: make_gamma(r, 1, chi(3, 2)), lambda r: make_phi(r, 0)),
+    # gamma_a fixes X_b; delta_a twists t_a
+    (lambda r: make_delta(r, 0, (1,)), lambda r: make_gamma(r, 0, chi(3, 4))),
+    # delta_a fixes every X; phi_s sends each X to X^3
+    (make_phi_s, lambda r: make_delta(r, 0, (1,))),
+], ids=["gamma_b-phi_a", "delta_a-gamma_a", "phi_s-delta_a"])
+def test_compose_over_fixed_variables_matches_sequential_application(outer, inner):
+    # where inner sends X_beta to X_beta, the composite takes outer's own
+    # image of X_beta: the same image that applying outer would make
+    ring = ring_for(3, [1, 2], ds=[1, 0], prec=6)
+    s, t = outer(ring), inner(ring)
+    comp = s.compose(t)
+    assert 1 in t._fixed
+    for got, img in zip(comp.var_images, t.var_images):
+        assert_same_image(got, reference_apply(s, img))
+    rng = random.Random(11)
+    for _ in range(6):
+        a = random_input(ring, rng, with_fraction=False)
+        assert comp.apply(a).eq_window(reference_apply(s, reference_apply(t, a)))
+
+
+def test_words_of_zero_and_one_factor():
+    ring = kernel_ring(0)
+    rng = random.Random(13)
+    a = random_input(ring, rng, with_fraction=False)
+    assert_same_image(OperatorWord([]).to_endo(ring).apply(a), a)
+    for text in ("phi(a)^2", "gamma(b; 3)", "delta(a; 1)^-1"):
+        (factor,) = parse_word(text, ring).factors
+        word = OperatorWord([factor]).to_endo(ring)
+        single = _factor_endo(ring, factor)
+        assert word.frob_exps == single.frob_exps
+        assert word.twists.keys() == single.twists.keys()
+        for x, y in zip(word.var_images, single.var_images):
+            assert_same_image(x, y)
+        for x, y in zip(word.twists.values(), single.twists.values()):
+            assert_same_image(x, y)
+        assert_same_image(word.apply(a), single.apply(a))

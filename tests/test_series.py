@@ -1,14 +1,20 @@
+import functools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import ring_for
+from conftest import alg_for, ring_for
 from phigamma import (
     INF,
+    CoeffElement,
     LaurentElement,
     PAdicUnitApprox,
     PrecisionError,
+    SeriesRingSpec,
     binomial_power,
     laurent_from_json,
     laurent_to_json,
@@ -107,6 +113,122 @@ def test_invert_random_units(p, degs):
         count += 1
         inv = u.invert()
         assert (u * inv).eq_window(ring.one())
+
+
+def reference_invert(u):
+    """The inverse by the term-by-term geometric series: per idempotent
+    component, D + 1 steps inv <- b_j - h inv, D the sum of the caps."""
+    verdict, corners = u._corner_analysis()
+    assert verdict == "unit"
+    ring = u.ring
+    alg = ring.coeffs
+    dec = alg.idempotent_decomposition()
+    total = ring.zero()
+    for j, (v, c_test) in corners.items():
+        w = c_test.invert()
+        if dec.ell == 1:
+            aj, unit_part = u, ring.one()
+        else:
+            bj = alg.from_fdelta(dec.idempotents[j])
+            aj, unit_part = u.scale(bj), ring.constant(bj)
+        shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
+        h = shifted - unit_part
+        if not h.support:
+            inv = unit_part.truncated(shifted.window)
+        else:
+            h = h.truncated(ring.precision)
+            inv = unit_part
+            for _ in range(sum(ring.precision) + 1):
+                inv = unit_part - h * inv
+        total = total + inv.scale(w).monomial_shift(tuple(-x for x in v))
+    return total
+
+
+# (p, degrees, transcendentals per factor, largest cap): GF(p) for three
+# primes, the l = 2 algebra GF(4) (x) GF(4), a t-symbol ring and three variables
+INVERT_RINGS = (
+    (2, (1, 1), (0, 0), 6), (2, (2, 2), (0, 0), 5), (3, (1, 2), (0, 0), 5),
+    (5, (1, 1), (0, 0), 5), (3, (2, 1), (1, 0), 4), (2, (1, 1, 1), (0, 0, 0), 3),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def invert_algebra(p, degs, ds):
+    return alg_for(p, list(degs), list(ds))
+
+
+@st.composite
+def units(draw):
+    """A certified unit: a corner c X^v with v in [-1, 1]^n, up to four
+    terms above it, and a drawn window, finite or not in each variable."""
+    p, degs, ds, cap = draw(st.sampled_from(INVERT_RINGS))
+    alg = invert_algebra(p, degs, ds)
+    n = len(degs)
+    ring = SeriesRingSpec(alg, tuple(draw(st.integers(1, cap)) for _ in range(n)))
+
+    def coeff():
+        num = {}
+        monos = draw(st.lists(st.tuples(*[st.integers(0, 1)] * alg.total_d),
+                              min_size=1, max_size=min(2, 2**alg.total_d), unique=True))
+        for mono in monos:
+            vec = draw(st.lists(st.integers(0, p - 1), min_size=alg.N, max_size=alg.N))
+            if any(vec):
+                num[mono] = np.array(vec, dtype=np.int64)
+        return CoeffElement(alg, num, ())
+
+    corner = tuple(draw(st.integers(-1, 1)) for _ in range(n))
+    u = ring.monomial(corner, coeff())
+    for _ in range(draw(st.integers(0, 4))):
+        step = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        u = u + ring.monomial(tuple(map(sum, zip(corner, step))), coeff())
+    u = u.truncated(tuple(draw(st.sampled_from([INF, 0, 1, 2, 5])) for _ in range(n)))
+    assume(u.unit_verdict() == "unit")
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=units())
+def test_invert_matches_the_geometric_series(u):
+    got, want = u.invert(), reference_invert(u)
+    assert got.window == want.window
+    assert got.pole_bound == want.pole_bound
+    assert got.pole_set == want.pole_set
+    assert got.support.keys() == want.support.keys()
+    assert all(c == want.support[e] for e, c in got.support.items())
+    if not any(c.den for el in (got, want) for c in el.support.values()):
+        assert laurent_to_json(got) == laurent_to_json(want)
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (2, 2), (1, 3), (3, 5), (1, 1, 2)])
+def test_invert_keeps_the_top_corner_when_d_is_a_power_of_two(caps):
+    # g = -(X_a + X_b + ...): g^D has the term X^caps, of total degree
+    # D = 2^k, with the nonzero multinomial coefficient mod 5; the doubling
+    # must run while 2^k <= D, not stop at 2^k = D
+    ring = ring_for(5, [1] * len(caps), prec=caps)
+    u = ring.one()
+    for i in range(ring.nvars):
+        u = u + ring.var(i)
+    inv = u.invert()
+    assert caps in inv.support
+    assert (u * inv).eq_window(ring.one())
+
+
+def test_invert_takes_logarithmically_many_products(monkeypatch):
+    # D = 18: doubling reaches g^31 in 4 steps of 2 products, and w scales
+    # twice; the geometric series took D + 1 = 19 products
+    ring = ring_for(3, [1, 1, 1], prec=6)
+    u = ring.one()
+    for exps in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 2, 1), (2, 0, 1)]:
+        u = u + ring.monomial(exps)
+    calls = []
+    times = LaurentElement._times
+    monkeypatch.setattr(
+        LaurentElement, "_times", lambda a, b: calls.append(1) or times(a, b)
+    )
+    inv = u.invert()
+    monkeypatch.undo()
+    assert len(calls) <= 10
+    assert (u * inv).eq_window(ring.one())
 
 
 def test_invert_with_pole_and_scale():
