@@ -9,9 +9,15 @@ contribute polynomial numerators and per-factor denominators.
 Elements of the finite part ``F`` are int64 numpy vectors over the monomial
 basis of GF(p)[y_1,...,y_s] / (moduli).  Every vector the library stores is
 reduced into [0, p), so a vector is zero exactly when it has no nonzero
-entry, and products need no input reduction.  Multiplication is the
-structure tensor precomputed as one N x N^2 integer map: left
-multiplication by x is the N x N matrix ``x @ map mod p``.
+entry, and products need no input reduction.  An algebra keeps two tables
+per factor and nothing tensored: the n x n x n product table (entry
+[a, b, k] is the coefficient of y^k in y^a * y^b) and the n x n Frobenius
+matrix.  The series kernels multiply through the structure tensor of ``F``
+as one N x N^2 integer map, built from the factor tables the first time a
+kernel reads it: left multiplication by x is the N x N matrix
+``x @ map mod p``.  The N x N Frobenius matrices are likewise built on
+first use.  Every sum of products is exact in int64, since
+N * (p-1)^2 < 2^53 is required; there is no floating point.
 
 Products of several terms at once go through one kernel,
 ``CoefficientAlgebra.mul_rows``: each operand is a list of rows (an integer
@@ -32,15 +38,20 @@ in [-2^62, 2^62], so a sum of two cannot wrap unnoticed; ``key_rows`` reads
 a kernel's keys and ``check_keys`` the shortcut's, and both refuse any past
 that bound.
 
-The tables are built per factor and then tensored: each factor's product
-table from y^k mod its modulus for k <= 2n - 2, and its Frobenius from y^p
-by square-and-multiply, so their cost grows with log p, not p.  The split
-of ``F`` happens in its Frobenius-fixed subalgebra ``A = F^{Frob_s}``,
-which is GF(p)^ell for ell components and contains every idempotent:
-Cantor-Zassenhaus inside A, with random elements raised to the power
-(p - 1)/2, refines 1 into the primitive idempotents through products of
-ell-vectors.  The partial Frobenii permute the components in one orbit, so
-every component has the same degree, N/ell.
+The factor tables come from y^k mod the modulus for k <= 2n - 2, and each
+Frobenius from y^p by square-and-multiply, so their cost grows with log p,
+not p.  The split of ``F`` reads only those tables.  It happens in the
+Frobenius-fixed subalgebra ``A = F^{Frob_s}``, which is GF(p)^ell for ell
+components and contains every idempotent.  A is the image of the trace
+sum_{k<L} Frob_s^k, L the lcm of the factor degrees, summed factor by
+factor with the Kronecker products grouped by the Chinese remainder
+theorem (``frob_trace``); its products come from contracting A's basis
+with the factor tables one axis at a time.  Cantor-Zassenhaus inside A,
+with random elements raised to the power (p - 1)/2, refines 1 into the
+primitive idempotents through products of ell-vectors, and each partial
+Frobenius permutes them along its own factor axis.  The partial Frobenii
+permute the components in one orbit, so every component has the same
+degree, N/ell.  ``MAX_FINITE_DIM`` bounds N.
 """
 
 from __future__ import annotations
@@ -98,6 +109,11 @@ def key_rows(keys):
     return rows
 
 
+# the largest finite part, N = the product of the extension degrees: the
+# split's N x N trace and a series kernel's N x N^2 product map grow with it
+MAX_FINITE_DIM = 256
+
+
 # every algebra re-validates its moduli, and workloads reuse a few moduli many
 # times over: one Rabin test per (p, modulus)
 @functools.lru_cache(maxsize=4096)
@@ -146,6 +162,29 @@ class ResidueFieldSpec:
         return len(self.transcendentals)
 
 
+class _built_on_first_read:
+    """A method run on the first read of its name, whose result then stays
+    on the instance as a plain attribute.  Unlike functools.cached_property,
+    which writes through the instance ``__dict__``, it stores with setattr:
+    materialising ``__dict__`` makes every later attribute read on the
+    instance about twice as slow on CPython 3.11, and the series kernels
+    read an algebra's attributes on every call."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class IdempotentDecomposition:
     idempotents: tuple  # of F-vectors (numpy arrays)
@@ -162,6 +201,19 @@ class CoefficientAlgebra:
 
     def __init__(self, p: int, factors):
         self.p = p
+        # the size of the finite part, refused before any modulus is sought
+        # or any table is built
+        N = 1
+        for f in factors:
+            n = f.get("n", 1)
+            if not isinstance(n, int) or n < 1:
+                raise ValueError(f"extension degree must be an integer >= 1, not {n!r}")
+            N *= n
+        if N > MAX_FINITE_DIM:
+            raise ValueError(
+                f"dim F = {N} exceeds {MAX_FINITE_DIM}: the product of the "
+                "extension degrees is bounded"
+            )
         specs = []
         seen_symbols = set()
         for i, f in enumerate(factors):
@@ -194,23 +246,24 @@ class CoefficientAlgebra:
             i for i, spec in enumerate(specs) for _ in spec.transcendentals
         )
         self.t_index = {s: k for k, s in enumerate(self.tsymbols)}
-        self.N = 1
-        for n in self.degrees:
-            self.N *= n
+        self.N = N
         self._build_structure()
         self._dec = None
 
     # -- finite part ---------------------------------------------------
 
     def _build_structure(self):
-        p, N = self.p, self.N
-        # The product as a precomputed linear map in two stages: x -> x . T,
-        # an N x N matrix reduced mod p, then y -> y . (x . T).  Each stage
-        # sums N terms below p^2, exactly in int64; the split runs both
-        # stages in float64 (for BLAS), exact while the sums stay below 2^53.
-        if N * (p - 1) ** 2 >= 2**53:
+        """The per-factor tables, and nothing tensored: factor alpha's
+        product table T_alpha (n x n x n, entry [a, b, k] the coefficient of
+        y^k in y^a * y^b) and its Frobenius matrix F_alpha (n x n, column a
+        is (y^p)^a).  The N x N^2 product map and the N x N Frobenius
+        matrices are built from them on first use."""
+        p = self.p
+        # a product kernel sums N products, each below p^2, twice (x . T,
+        # then y . (x . T)); N * (p-1)^2 < 2^53 keeps those int64 sums exact
+        if self.N * (p - 1) ** 2 >= 2**53:
             raise ValueError("dim F * (p-1)^2 >= 2^53: products would not be exact")
-        tables, frobs = [], []
+        self._tables, self._frobs = [], []
         for spec in self.factors:
             n, mod = spec.base.n, spec.base.modulus
             # y^k mod the modulus for k <= max(2n - 2, 1), from Python ints
@@ -224,19 +277,35 @@ class CoefficientAlgebra:
             def mul(x, y, T=T.reshape(n, n * n), n=n):
                 return y @ (x @ T % p).reshape(n, n) % p
 
-            # column a of the factor's Frobenius is (y^p)^a
+            # y^p by square-and-multiply, then its powers through its
+            # left-multiplication matrix
             yp = power(powers[1], p, powers[0], mul)
+            left = (yp @ T.reshape(n, n * n) % p).reshape(n, n)
             cols = [powers[0]]
             for _ in range(n - 1):
-                cols.append(mul(cols[-1], yp))
-            tables.append(T)
-            frobs.append(np.stack(cols, axis=1))
-        self._mul_map = _tensor(p, tables).reshape(N, N * N)
+                cols.append(cols[-1] @ left % p)
+            self._tables.append(T)
+            self._frobs.append(np.stack(cols, axis=1))
+
+    @_built_on_first_read
+    def _mul_map(self):
+        """The product as one N x N^2 map: left multiplication by x is the
+        N x N matrix ``x @ map mod p``.  The series kernels read it."""
+        return _tensor(self.p, self._tables).reshape(self.N, self.N * self.N)
+
+    @_built_on_first_read
+    def frob_matrices(self):
+        """The partial Frobenii as N x N matrices acting on columns."""
         eye = [np.eye(n, dtype=np.int64) for n in self.degrees]
-        self.frob_matrices = [
-            _tensor(p, eye[:i] + [F] + eye[i + 1 :]) for i, F in enumerate(frobs)
+        return [
+            _tensor(self.p, eye[:i] + [F] + eye[i + 1 :])
+            for i, F in enumerate(self._frobs)
         ]
-        self.frob_s_matrix = _tensor(p, frobs)
+
+    @_built_on_first_read
+    def frob_s_matrix(self):
+        """The absolute Frobenius x -> x^p as an N x N matrix."""
+        return _tensor(self.p, self._frobs)
 
     def label_index(self, label):
         """The position of the factor named ``label``."""
@@ -389,29 +458,43 @@ class CoefficientAlgebra:
 
         The idempotents span A = F^{Frob_s}, the elements fixed by the
         absolute Frobenius, and A is GF(p)^ell as a ring (each component
-        field meets it in its prime field).  So the split happens inside A,
-        in the coordinates of A's reduced basis R_0..R_{ell-1} (an element's
-        coordinates are its entries at the pivot columns), by
-        Cantor-Zassenhaus: for a random a in A, the parts where
-        b = a^((p-1)/2) is 1, -1 and 0, namely (b^2 + b)/2, (b^2 - b)/2 and
-        1 - b^2, are orthogonal idempotents summing to 1 (for p = 2, a and
-        1 - a are).  Each round multiplies every current idempotent by every
-        part and keeps the nonzero products, until there are ell.  The
-        result is unique, so it does not depend on the draws.  The partial
-        Frobenii act transitively on the components, and each maps eF
-        isomorphically onto sigma(e)F, so every component has degree N/ell,
-        the lcm of the factor degrees.
+        field meets it in its prime field).  Each component is GF(p^L),
+        L = lcm of the factor degrees, on which the trace sum_{k<L} Frob_s^k
+        maps onto GF(p), so A is the image of that trace (``frob_trace``).
+        The split happens inside A, in the coordinates of A's reduced basis
+        R_0..R_{ell-1}, the rref of the trace's columns (unique, so it does
+        not depend on how the trace was summed); an element's coordinates
+        are its entries at the pivot columns.  Then Cantor-Zassenhaus: for a
+        random a in A, the parts where b = a^((p-1)/2) is 1, -1 and 0,
+        namely (b^2 + b)/2, (b^2 - b)/2 and 1 - b^2, are orthogonal
+        idempotents summing to 1 (for p = 2, a and 1 - a are).  Each round
+        multiplies every current idempotent by every part and keeps the
+        nonzero products, until there are ell.  The result is unique, so it
+        does not depend on the draws.  The partial Frobenii act transitively
+        on the components, and each maps eF isomorphically onto sigma(e)F,
+        so every component has degree N/ell, the lcm of the factor degrees.
+        Everything is read from the per-factor tables, in exact int64.
         """
-        p, N = self.p, self.N
-        fixed = gfp.nullspace((self.frob_s_matrix - np.eye(N, dtype=np.int64)) % p, p)
-        R, pivots = gfp.rref(fixed, p)
+        p, N, degrees = self.p, self.N, self.degrees
+        R, pivots = gfp.rref(frob_trace(p, self._frobs).T, p)
         ell = len(pivots)
-        # S[i, j, k] (with j, k flattened): coordinate k of R_i * R_j, from
-        # one batched product map; only the pivot columns of the map are
-        # read, in float64 for BLAS
-        pivot_map = self._mul_map.reshape(N, N, N)[:, :, pivots].astype(np.float64)
-        left = (R @ pivot_map.reshape(N, N * ell) % p).reshape(ell, N, ell)
-        S = (R @ left % p).astype(np.int64).reshape(ell, ell * ell)
+        R = R[:ell]
+        # S[i, j, m] (with j, m flattened): entry pivots[m] of R_i * R_j.
+        # The product's slice at an output index k is the Kronecker product
+        # of the factor tables' slices at k's digits, so R's rows are
+        # contracted with those slices one factor axis at a time, for every
+        # pivot at once (axis m), and then with R's rows
+        digits = np.unravel_index(pivots, degrees)
+        V = R[None]  # [m, i, digits of b]; one m until the first contraction
+        for alpha, T in enumerate(self._tables):
+            n = degrees[alpha]
+            if n == 1:  # T = 1
+                continue
+            V = V.reshape(len(V), -1, n, N // math.prod(degrees[: alpha + 1]))
+            # [m, z, a] @ [m, (i, earlier digits), a, later digits]
+            V = T[:, :, digits[alpha]].transpose(2, 1, 0)[:, None] @ V % p
+        S = (V.reshape(ell * ell, N) @ R.T % p).reshape(ell, ell, ell)
+        S = S.transpose(1, 2, 0).reshape(ell, ell * ell)
 
         def mul(x, y):  # every row of x times every row of y, in A
             return (y @ (x @ S % p).reshape(-1, ell, ell) % p).reshape(-1, ell)
@@ -432,9 +515,13 @@ class CoefficientAlgebra:
             idems = idems[idems.any(axis=1)]
         idems = sorted(idems @ R % p, key=lambda v: v.tolist())
         index = {e.tobytes(): j for j, e in enumerate(idems)}
+        # each partial Frobenius applied along its own factor axis
+        E = np.array(idems)
         perms = []
-        for frob in self.frob_matrices:
-            perm = tuple(index.get(v.tobytes()) for v in np.array(idems) @ frob.T % p)
+        for alpha, F in enumerate(self._frobs):
+            n = degrees[alpha]
+            images = F @ E.reshape(-1, n, N // math.prod(degrees[: alpha + 1])) % p
+            perm = tuple(index.get(v.tobytes()) for v in images.reshape(ell, N))
             if None in perm:
                 raise AssertionError("frobenius image of idempotent not primitive")
             perms.append(perm)
@@ -514,6 +601,69 @@ def _tensor(p, blocks):
     r, s = blocks[0].ndim, len(blocks)
     axes = [r * i + k for k in range(r) for i in range(s)]
     return out.transpose(axes).reshape([math.prod(out.shape[k::r]) for k in range(r)])
+
+
+def frob_trace(p, frobs):
+    """The N x N matrix of the trace sum_{k<L} Frob_s^k, where Frob_s is the
+    Kronecker product of the factor Frobenius matrices ``frobs`` and L the
+    lcm of their sizes.
+
+    Frob_s^k is the Kronecker product of the F_alpha^(k mod n_alpha), and
+    the sum is folded in factor by factor.  By the Chinese remainder
+    theorem, k mod lcm(M, n) runs over the pairs (k mod M, k mod n) that
+    agree mod gcd(M, n), and the factors still to come (lcm L') read only
+    k mod gcd(lcm(M, n), L').  So the folded prefix is kept as its sums over
+    the residue classes of that gcd (one class at the end), and a fold pairs
+    the prefix's class sums with the new factor's, each first summed down to
+    the classes that the pairing and the next gcd can tell apart.  No step
+    forms L copies of an N x N matrix.  Each sum has at most N terms below
+    p^2, exact in int64 while N * (p-1)^2 < 2^53.
+    """
+    degrees = [len(F) for F in frobs]
+    sums, g, M = np.ones((1, 1, 1), dtype=np.int64), 1, 1  # [class, row, col]
+    for i, F in enumerate(frobs):
+        n, size = degrees[i], len(sums[0])
+        if n == 1:  # F = 1: the fold changes nothing
+            continue
+        M = math.lcm(M, n)
+        g_next = math.gcd(M, math.lcm(*degrees[i + 1 :]))
+        g1 = math.gcd(g, math.lcm(n, g_next))
+        n1 = math.gcd(n, math.lcm(g, g_next))
+        if g1 < g:
+            sums = sums.reshape(g // g1, g1, size, size).sum(axis=0) % p
+        right = _power_class_sums(F, n1, p)
+        # pair k (mod lcm(g1, n1)) is sums[k % g1] (x) right[k % n1], summed
+        # into class k % g_next
+        h = math.lcm(g1, n1)
+        left = sums[[k % g1 for k in range(h)]]
+        right = right[[k % n1 for k in range(h)]]
+        terms = left[:, :, None, :, None] * right[:, None, :, None, :]
+        sums = terms.reshape(-1, g_next, size * n, size * n).sum(axis=0) % p
+        g = g_next
+    return sums[0]
+
+
+def _power_class_sums(F, m, p):
+    """The sums of F^b over b < n in each class b = c mod m, c < m, stacked,
+    where F is n x n with F^n = 1 and m | n: F^c times the sum of (F^m)^j
+    over j < n/m, taken by doubling."""
+    powers = [np.eye(len(F), dtype=np.int64), F]
+    while len(powers) <= m:
+        powers.append(powers[-1] @ F % p)
+    classes = np.array(powers[:m])
+    if m == len(F):  # one power per class
+        return classes
+
+    def geometric(c):  # (sum of G^j over j < c, G^c), G = F^m
+        if c == 1:
+            return powers[0], powers[m]
+        S, P = geometric(c // 2)
+        S, P = (S + P @ S) % p, P @ P % p
+        if c % 2:
+            S, P = (S + P) % p, P @ powers[m] % p
+        return S, P
+
+    return classes @ geometric(len(F) // m)[0] % p
 
 
 def _num_add(alg, a, b):

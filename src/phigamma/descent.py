@@ -126,16 +126,29 @@ def build_artin_schreier(base: SeriesRingSpec, a: LaurentElement, alpha=0):
     """The degree-p extension y^p - y = a with Galois generator y -> y+1."""
     p = base.coeffs.p
     ext = FiniteExtension(base, "artin_schreier", alpha, p, a)
-    for v in range(base.nvars):
-        endo = make_phi(base, v)
-        d = endo.apply(a) - a
-        u, residual = _solve_artin_schreier_aux(base, d)
-        if residual is None:
-            ext.phi_images[v] = {0: u, 1: base.one()}  # phi(y) = y + u
-            ext.phi_notes[v] = "ok"
-        else:
-            ext.phi_images[v] = None
-            ext.phi_notes[v] = f"frobenius continuation unavailable: {residual}"
+    phis = [make_phi(base, v) for v in range(base.nvars)]
+    shifts = []  # u_v, or None where the continuation is unavailable
+    for v, phi in enumerate(phis):
+        u, residual = _solve_artin_schreier_aux(base, phi.apply(a) - a)
+        shifts.append(u)
+        ext.phi_notes[v] = (
+            "ok" if u is not None else f"frobenius continuation unavailable: {residual}"
+        )
+    if all(u is not None for u in shifts):
+        # each u_v is fixed only up to a constant c with c^p = c.  The other
+        # phi_v, in order, send y to y + D, and phi_alpha after them to
+        # y + u_alpha + phi_alpha(D), which must be y^p = y + a: the
+        # difference is such a constant, and u_alpha absorbs it
+        D = base.zero()
+        for v, phi in enumerate(phis):
+            if v != alpha:
+                D = shifts[v] + phi.apply(D)
+        c = (a - shifts[alpha] - phis[alpha].apply(D)).truncated(base.precision)
+        if set(c.support) - {(0,) * base.nvars} or not (c**p).eq_window(c):
+            raise AssertionError("artin-schreier continuations miss y^p = y + a")
+        shifts[alpha] = shifts[alpha] + c
+    for v, u in enumerate(shifts):
+        ext.phi_images[v] = None if u is None else {0: u, 1: base.one()}  # y + u
     assert ext.relation_check()
     return ext
 

@@ -51,8 +51,14 @@ import re
 
 import numpy as np
 
-from .coeff import EXP_BOUND, CoeffElement, UndecidedError, check_exponent, check_keys
-from .fields import power
+from .coeff import (
+    EXP_BOUND,
+    EXP_BOUND_TEXT,
+    CoeffElement,
+    UndecidedError,
+    check_exponent,
+    check_keys,
+)
 from .series import (
     INF,
     LaurentElement,
@@ -431,11 +437,15 @@ def _resolve_alpha(ring, alpha):
     return alpha
 
 
-def make_phi(ring: SeriesRingSpec, alpha) -> RingEndo:
+def make_phi(ring: SeriesRingSpec, alpha, k=1) -> RingEndo:
+    """phi_alpha^k in closed form: X_alpha -> X_alpha^(p^k), and the
+    Frobenius k times on factor alpha."""
     alpha = _resolve_alpha(ring, alpha)
     p = ring.coeffs.p
-    images = [_x_power(ring, i, p if i == alpha else 1) for i in range(ring.nvars)]
-    exps = tuple(1 if i == alpha else 0 for i in range(ring.nvars))
+    if p ** min(k, 63) > EXP_BOUND:  # p^63 >= 2^63, and p^k grows with k
+        raise ValueError(f"exponent out of range: {EXP_BOUND_TEXT}")
+    images = [_x_power(ring, i, p**k if i == alpha else 1) for i in range(ring.nvars)]
+    exps = tuple(k if i == alpha else 0 for i in range(ring.nvars))
     return RingEndo(ring, images, exps)
 
 
@@ -539,7 +549,7 @@ def _factor_endo(ring, f):
     if kind == "phi":
         if k < 0:
             raise ValueError("phi admits no inverse (monoid generator)")
-        return power(make_phi(ring, alpha), k, identity_endo(ring), RingEndo.compose)
+        return make_phi(ring, alpha, k)
     if kind == "gamma":
         c = f[2]
         ck = PAdicUnitApprox(c.p, pow(c.residue, k, c.p**c.M) if k >= 0 else

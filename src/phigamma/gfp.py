@@ -25,25 +25,25 @@ def rref(A, p):
         raise ValueError("matrix expected")
     rows, cols = R.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if R[i, c] % p:
-                piv = i
+    r = c = 0
+    while r < rows and c < cols:
+        if not R[r, c]:
+            # the first nonzero entry of the rows left, column by column: it
+            # gives the pivot column and row at once (R is reduced)
+            nonzero = np.flatnonzero(R[r:, c:].T)
+            if not len(nonzero):
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            R[[r, piv]] = R[[piv, r]]
+            dc, dr = divmod(int(nonzero[0]), rows - r)
+            c += dc
+            if dr:
+                R[[r, r + dr]] = R[[r + dr, r]]
         R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
         mask = R[:, c].copy()
         mask[r] = 0
         R = (R - np.outer(mask, R[r])) % p
         pivots.append(c)
         r += 1
+        c += 1
     return R, pivots
 
 

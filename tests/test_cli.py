@@ -2,8 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import math
+import random
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 from phigamma import cli, modules
+from phigamma.coeff import MAX_FINITE_DIM
+from phigamma.fields import find_irreducible
 
 
 def run(capsys, *argv):
@@ -449,6 +454,57 @@ def test_apply_op_fuzz(p, precision, factors):
         "series": fuzz_series(),
     }
     code, out, seconds = run_config("apply-op", cfg)
+    assert code in (0, 1, 2, 3) and seconds < 30
+    assert "Traceback" not in out
+    json.loads(out)
+
+
+# idempotents: the size of the finite part is bounded at input
+
+
+@st.composite
+def idempotents_configs(draw):
+    """p, degrees and moduli: valid irreducibles, arbitrary coefficient
+    lists, or none (the default modulus); odd degrees and p now and then,
+    and five GF(2^4) factors (N = 1024) among the sizes.  A legal degree is
+    at most 8: the default-modulus search takes seconds from degree 32 on."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 4]))
+    degs = draw(st.one_of(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4),  # N <= 256
+        st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        st.just([4] * 5),
+        st.lists(st.sampled_from([0, -1, 257, 300, 2.5, "2", None]), min_size=1,
+                 max_size=3),
+    ))
+    factors = []
+    for i, n in enumerate(degs):
+        factor = {"n": n, "label": "abcde"[i]}
+        kind = draw(st.sampled_from(["default", "irreducible", "any"]))
+        if kind == "irreducible" and n in range(1, 9) and p != 4:
+            factor["modulus"] = find_irreducible(p, n, random.Random(draw(st.integers(0, 99))))
+        elif kind == "any":
+            factor["modulus"] = draw(st.lists(st.integers(-3, 9), min_size=1, max_size=10))
+        factors.append(factor)
+    return {"p": p, "factors": factors}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=idempotents_configs())
+def test_idempotents_sizes_fuzz(cfg):
+    degs = [f["n"] for f in cfg["factors"]]
+    oversized = all(type(n) is int and n >= 1 for n in degs) and math.prod(degs) > MAX_FINITE_DIM
+    if oversized:
+        # refused before any modulus is sought or any table is built
+        tracemalloc.start()
+        try:
+            code, out, seconds = run_config("idempotents", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert f"exceeds {MAX_FINITE_DIM}" in json.loads(out)["error"]
+    else:
+        code, out, seconds = run_config("idempotents", cfg)
     assert code in (0, 1, 2, 3) and seconds < 30
     assert "Traceback" not in out
     json.loads(out)

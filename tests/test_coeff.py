@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import alg_for, ring_for
 from phigamma import (
@@ -16,6 +18,7 @@ from phigamma import (
     tensor_idempotents,
 )
 from phigamma import gfp
+from phigamma.coeff import MAX_FINITE_DIM, frob_trace
 from phigamma.fields import find_irreducible
 from phigamma.oracles import OracleCapError, crt_split
 
@@ -68,6 +71,80 @@ def test_idempotents_match_oracle(p, degs):
         for mine, theirs in zip(dec.idempotents, oracle["idempotents"]):
             assert mine.dtype == np.int64
             assert np.array_equal(mine, np.asarray(theirs) % p)
+
+
+# the oracle enumerates p^n candidate roots per factor, up to 2^16
+ORACLE_DEGREES = {2: 16, 3: 10, 5: 6, 7: 5}
+
+
+@st.composite
+def oracle_algebras(draw):
+    """p, one to four degrees with N <= 64 and each p^n within the oracle's
+    root cap, and a seed for the irreducible moduli."""
+    p = draw(st.sampled_from(sorted(ORACLE_DEGREES)))
+    degs = []
+    for _ in range(draw(st.integers(1, 4))):
+        room = 64 // math.prod(degs)
+        degs.append(draw(st.integers(1, min(room, ORACLE_DEGREES[p]))))
+    return p, degs, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_algebras())
+def test_idempotents_match_oracle_fuzz(case):
+    p, degs, seed = case
+    alg = _seeded_alg(p, degs, seed)
+    dec = tensor_idempotents(alg)
+    oracle = crt_split(p, [list(s.base.modulus) for s in alg.factors])
+    assert dec.component_degrees == tuple(oracle["component_degrees"])
+    assert dec.frobenius_permutations == oracle["frobenius_permutations"]
+    assert len(dec.idempotents) == len(oracle["idempotents"])
+    for mine, theirs in zip(dec.idempotents, oracle["idempotents"]):
+        assert np.array_equal(mine, np.asarray(theirs) % p)
+
+
+@pytest.mark.parametrize(
+    "p,degs",
+    [(3, [2, 4, 8]), (3, [8, 4, 2]), (2, [4, 6, 10]), (5, [3, 6, 4]), (7, [2, 1, 2]),
+     (2, [5]), (3, [2, 2, 2, 2])],
+)
+def test_frob_trace_is_the_sum_of_frobenius_powers(p, degs):
+    # the CRT-grouped fold against sum_{k<L} Frob_s^k by repeated products,
+    # and its image against A = ker(Frob_s - 1) from a nullspace
+    alg = _seeded_alg(p, degs, 6)
+    F, N = alg.frob_s_matrix, alg.N
+    total, power_k = np.zeros((N, N), dtype=np.int64), np.eye(N, dtype=np.int64)
+    for _ in range(math.lcm(*degs)):
+        total = (total + power_k) % p
+        power_k = F @ power_k % p
+    assert np.array_equal(power_k, np.eye(N, dtype=np.int64))  # Frob_s^L = 1
+    trace = frob_trace(p, alg._frobs)
+    assert trace.dtype == np.int64 and np.array_equal(trace, total)
+    R, pivots = gfp.rref(trace.T, p)
+    fixed = gfp.nullspace((F - np.eye(N, dtype=np.int64)) % p, p)
+    R_fixed, pivots_fixed = gfp.rref(fixed, p)
+    assert pivots == pivots_fixed and np.array_equal(R[: len(pivots)], R_fixed)
+
+
+def test_split_reads_only_the_factor_tables():
+    # no N x N^2 product map and no N x N Frobenius matrix on the split
+    # path; a series kernel builds the map on first use
+    lazy = {"_mul_map", "frob_matrices", "frob_s_matrix"}
+    alg = alg_for(2, [4, 4, 4, 4])
+    assert tensor_idempotents(alg).ell == 64
+    assert not lazy & set(vars(alg))
+    assert all(T.shape == (4, 4, 4) for T in alg._tables)
+    alg = alg_for(3, [2, 3])
+    x = alg.fd_gen(0)
+    assert np.array_equal(alg.fd_mul(x, alg.fd_one()), x)
+    assert alg._mul_map.shape == (6, 36) and "_mul_map" in vars(alg)
+
+
+@pytest.mark.parametrize("degs", [[4] * 5, [257], [2, 129], [16, 16, 2]])
+def test_finite_part_size_is_bounded(degs):
+    assert math.prod(degs) > MAX_FINITE_DIM
+    with pytest.raises(ValueError, match=f"exceeds {MAX_FINITE_DIM}"):
+        alg_for(2, degs)
 
 
 def _schoolbook_frob(alg, x, alpha):

@@ -233,6 +233,79 @@ def test_artin_schreier_continuation_satisfies_relation(p):
         assert tower.eq_window(lhs, rhs)
 
 
+# Every layer that the tests and the character towers build with all its
+# continuations, and the data that the Artin-Schreier continuation used to
+# miss (a = 1 at p = 2 and 3, a = 1 + X_a at p = 3, and y_a, 1 and 1 + X_b
+# over GF(p^2) (x) GF(p^2)): (kind, p, degrees, precision, a, e, the
+# layer's direction alpha), with a read by ``layer_datum``.
+LAYERS_BUILT = [
+    ("artin_schreier", 2, [1, 1], 8, "X_a", None, 0),
+    ("artin_schreier", 3, [1, 1], 8, "X_a", None, 0),
+    ("artin_schreier", 2, [1], 8, "X_a", None, 0),
+    ("artin_schreier", 3, [1], 8, "X_a", None, 0),
+    ("artin_schreier", 2, [1], 8, "X_a^-1", None, 0),
+    ("artin_schreier", 3, [1], 8, "X_a^-1", None, 0),
+    ("artin_schreier", 3, [1, 1], 8, "X_a^-1", None, 0),
+    ("artin_schreier", 2, [1, 1], 8, "1", None, 0),
+    ("artin_schreier", 3, [1, 1], 8, "1", None, 0),
+    ("artin_schreier", 3, [1, 1], 8, "1+X_a", None, 0),
+    ("artin_schreier", 2, [2, 2], 8, "y_a", None, 0),
+    ("artin_schreier", 2, [2, 2], 8, "1", None, 0),
+    ("artin_schreier", 3, [2, 2], 8, "1+X_b", None, 0),
+    ("kummer", 3, [1], 10, "1+X_a", 2, 0),
+    ("kummer", 3, [1], 10, "X_a", 2, 0),
+    ("kummer", 5, [1], 10, "X_a", 4, 0),
+    ("kummer", 5, [1], 10, "X_a", 2, 0),
+    ("kummer", 5, [1], 10, "1+X_a", 2, 0),
+    ("kummer", 5, [1], 10, "1+X_a", 4, 0),
+    ("kummer", 3, [1], 9, "X_a", 2, 0),
+    ("kummer", 5, [1, 1], 6, "1+X_b", 2, 0),
+    ("kummer", 5, [2, 2], 6, "1+X_b", 2, 0),
+    ("kummer", 5, [2, 2], 10, "X_a", 4, 0),
+    ("kummer", 7, [2, 2], 14, "X_a", 3, 0),
+    ("kummer", 5, [2, 2], 6, "1+X_b", 4, 0),
+    ("kummer", 5, [1, 1], 8, "X_b", 2, 0),
+    ("kummer", 3, [1, 1], 9, "X_a", 2, 0),
+    ("kummer", 3, [1, 1], 8, "X_a", 2, 0),
+    ("kummer", 3, [1, 1], 8, "X_b", 2, 1),
+    ("kummer", 5, [3, 3], 6, "1+X_b", 2, 0),
+    ("kummer", 5, [1, 1], 10, "X_b", 4, 1),
+    ("kummer", 5, [1, 1], 10, "X_a", 2, 0),
+    ("artin_schreier", 3, [1, 1], 8, "1+X_b", None, 1),
+    ("artin_schreier", 2, [2, 2], 8, "1", None, 1),
+]
+
+
+def layer_datum(ring, text):
+    return {
+        "1": ring.one(), "X_a": ring.var(0), "X_b": ring.var(1),
+        "X_a^-1": ring.monomial((-1,) + (0,) * (ring.nvars - 1)),
+        "1+X_a": ring.one() + ring.var(0),
+        "1+X_b": ring.one() + ring.var(ring.nvars - 1),
+        "y_a": ring.constant(ring.coeffs.gen(0)),
+    }[text]
+
+
+@pytest.mark.parametrize("kind,p,degs,prec,a,e,alpha", LAYERS_BUILT)
+def test_composite_of_the_frobenii_is_the_pth_power(kind, p, degs, prec, a, e, alpha):
+    # phi_s = the product of the phi_v, in every order, sends y to y^p:
+    # y + a on an Artin-Schreier layer, a^(p div e) y^(p mod e) on a Kummer one
+    ring = ring_for(p, degs, prec=prec)
+    datum = layer_datum(ring, a)
+    if kind == "artin_schreier":
+        ext = build_artin_schreier(ring, datum, alpha=alpha)
+    else:
+        ext = build_kummer(ring, datum, e, alpha=alpha)
+    assert set(ext.phi_notes.values()) == {"ok"}
+    tower = ExtensionTower(ring, [ext])
+    y = {(1,): ring.one()}
+    for order in itertools.permutations(range(ring.nvars)):
+        image = y
+        for v in order:
+            image = tower.apply_phi(v, image)
+        assert tower.eq_window(image, tower.pow(y, p)), order
+
+
 def test_artin_schreier_with_pole():
     ring = ring_for(2, [1], prec=8)
     a = ring.monomial((-1,))

@@ -88,3 +88,37 @@ def test_inverse(p, data):
     else:
         assert np.array_equal((A @ inv) % p, np.eye(n, dtype=np.int64))
         assert np.array_equal((inv @ A) % p, np.eye(n, dtype=np.int64))
+
+
+def reference_rref(A, p):
+    """Gauss-Jordan with a row-by-row pivot search in Python."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if R[i, c]), None)
+        if piv is None:
+            continue
+        R[[r, piv]] = R[[piv, r]]
+        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
+        for i in range(rows):
+            if i != r:
+                R[i] = (R[i] - R[i, c] * R[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_the_row_by_row_search(p, data):
+    # sparse draws, so zero columns and rank-deficient matrices are common
+    A = np.array(data.draw(matrices(p, max_dim=7)), dtype=np.int64)
+    A[np.array(data.draw(st.lists(st.booleans(), min_size=A.size, max_size=A.size)))
+      .reshape(A.shape)] = 0
+    R, pivots = gfp.rref(A, p)
+    R_ref, pivots_ref = reference_rref(A, p)
+    assert pivots == pivots_ref and np.array_equal(R, R_ref)

@@ -29,3 +29,14 @@ def test_split_digest_sees_every_output(capsys):
     _, plain = next(iter(outputs.values()))
     plain["idempotents"][0][0] += 1
     assert output_digest.digest({1: outputs}) != first
+
+
+# every split output for seeds 1, 61 and 7, as the nullspace-based split
+# gave them: any change to an idempotent, a degree, an orbit or a verdict
+# moves this digest
+SPLIT_DIGEST = "5188fe32594696b452ace14254d8bf443abf452f6fd4fd66ecbc8cbc3cf0203f"
+
+
+def test_split_outputs_are_pinned():
+    count, failed, digest = output_digest.workload_digest("split", [1, 61, 7])
+    assert (count, failed, digest) == (888, 0, SPLIT_DIGEST)
