@@ -115,7 +115,7 @@ MAX_FINITE_DIM = 256
 
 
 # every algebra re-validates its moduli, and workloads reuse a few moduli many
-# times over: one Rabin test per (p, modulus)
+# times over: one irreducibility test per (p, modulus)
 @functools.lru_cache(maxsize=4096)
 def _is_irreducible_memo(p, modulus):
     return is_irreducible(p, modulus)

@@ -4,14 +4,21 @@ rank-1 module functors.
 The simultaneous Frobenius fixed-point problems here are solved exactly on a
 certified subwindow W' with p*W' <= W: a candidate supported in W' has its
 image supported in W, so the equation set is an exact finite F_p-linear
-system.  Every implemented operator sends each basis "slot" (a monomial in
-the series variables, transcendentals, and extension generators) to a single
-slot with an invertible coefficient map, and a slot that an operator moves
-never comes back: its chain leaves W', where the coefficient is 0, and
-injectivity forces every coefficient along it to 0 (see
-``solve_fixed_points``).  So instead of one large dense nullspace, the
-solver keeps the slots that every operator fixes and solves a small per-slot
-linear system over the finite part.
+system.  Its unknowns sit in "slots": a module coordinate, powers of the
+extension generators, X-exponents and a t-monomial.  The solver reads each
+phi_alpha from stored data: every layer's continuation phi_alpha(y) = c*y,
+and the module's phi matrix, diagonal with one-slot entries.  Each such c
+and entry must be one slot w X^s t^m, so that each operator sends a slot to
+one slot; anything else is refused.  Then phi_alpha keeps a slot's class
+(coordinate, generator powers), multiplies the exponents that factor alpha
+owns (X_alpha and alpha's t's) by p, adds the class's shift s, and sends
+the coefficient through an invertible F_p-linear map.  A slot that an
+operator moves never comes back: its chain leaves W', where the
+coefficient is 0 (in a quotient by X_alpha^r, the backward chain ends at a
+slot with no preimage), and injectivity forces every coefficient along it
+to 0.  So the fixed slots are in closed form, E = -s/(p-1) on alpha's
+exponents and s = 0 on the others, and one small nullspace over the finite
+part per class gives their coefficients.
 
 Extensions of the base ring are towers of Artin-Schreier (y^p - y = a,
 Galois y -> y+1) and Kummer (y^e = a with e | p-1, Galois y -> zeta*y)
@@ -482,15 +489,18 @@ class FrobFixedSystem:
     """A simultaneous fixed-point problem for a set of phi_alpha operators.
 
     ``ambient`` is one of three shapes, and the solutions come back in it:
-    a SeriesRingSpec (series), a PhiGammaModule with monomial-diagonal phi
-    matrices (coordinate vectors of series), or a (tower, module) pair of
-    an ExtensionTower and a module over its base ring (coordinate vectors
-    of tower elements).  Inside, every problem is a tower, with no layers
-    for the first two shapes, and an optional module.  ``window`` is the
-    certified exponent region W, ``subwindow`` the solution support region
-    W' with p*W' <= W.  ``quotient`` = (alpha, r) works modulo X_alpha^r;
-    its operators are then every phi_beta with beta != alpha by default,
-    and phi_alpha is refused.
+    a SeriesRingSpec (series), a PhiGammaModule (coordinate vectors of
+    series), or a (tower, module) pair of an ExtensionTower and a module
+    over its base ring (coordinate vectors of tower elements).  Inside,
+    every problem is a tower, with no layers for the first two shapes, and
+    an optional module.  The solver reads phi_alpha from the layers' stored
+    continuations ``phi_images[alpha]`` and the module's phi matrix, which
+    must be diagonal with one-slot entries, and finds the fixed slots in
+    closed form (see the module docstring).  ``window`` is the certified
+    exponent region W, ``subwindow`` the solution support region W' with
+    p*W' <= W.  ``quotient`` = (alpha, r) works modulo X_alpha^r; its
+    operators are then every phi_beta with beta != alpha by default, and
+    phi_alpha is refused.
     """
 
     def __init__(self, ambient, operators=None, window=None, subwindow=None,
@@ -545,89 +555,71 @@ def _sizes(name, value, n):
     return tuple(_size(name, v) for v in value)
 
 
-def _module_phi_multipliers(module: PhiGammaModule, alpha):
-    """Per-coordinate (x-shift, finite-part unit) for a monomial-diagonal
-    phi matrix; raises for anything richer."""
-    A = module.phi_matrices[alpha]
-    out = []
-    for i in range(module.rank):
-        for j in range(module.rank):
-            if i != j and A[i][j].support:
-                raise NotImplementedError(
-                    "slot solver requires diagonal phi matrices"
-                )
-        entry = A[i][i]
-        if len(entry.support) != 1:
-            raise NotImplementedError(
-                "slot solver requires monomial phi scalars"
-            )
-        ((exps, c),) = entry.support.items()
-        if not c.is_constant():
-            raise NotImplementedError(
-                "slot solver requires finite-part phi scalar coefficients"
-            )
-        out.append((exps, c.constant_fd()))
-    return out
-
-
-def _build_slot_ops(sys: FrobFixedSystem):
-    """Each operator's step, per (coordinate, tower powers).
-
-    A slot is (coordinate, tower powers, x-exponents, t-monomial).  phi_alpha
-    sends it to a single slot: the coordinate stays, the tower powers become
-    the step's, the alpha exponent x becomes p*x and the step's shift is
-    added to the x-exponents, and every t-exponent of factor alpha is
-    multiplied by p; the coefficient goes through the step's invertible
-    F_p-linear map M.  Returns ``([(alpha, {(coord, tpow): (new tpow, shift,
-    M)})], rank)``.
-    """
-    ring = sys.ring
-    alg = ring.coeffs
-    p = alg.p
-    rank = sys.module.rank if sys.module else 1
-    layers = sys.tower.layers
-    towpows = list(itertools.product(*(range(l.degree) for l in layers)))
-    ops = []
-    for alpha in sys.operators:
-        mults = (
-            _module_phi_multipliers(sys.module, alpha) if sys.module
-            else [((0,) * ring.nvars, None)]
+def _one_slot(x):
+    """(X- then t-exponents, finite-part vector) of x, one slot of the
+    series; anything else is refused."""
+    row = None if x is None else x._one_row()
+    if row is None:
+        raise NotImplementedError(
+            "slot solver: each operator must send a slot to one slot"
         )
-        layer_info = []
-        for i, layer in enumerate(layers):
-            if layer.alpha != alpha:
-                continue
-            if layer.kind != "kummer":
-                raise NotImplementedError(
-                    "slot solver supports kummer layers only"
+    return row[0] + row[1], row[2]
+
+
+def _class_steps(sys: FrobFixedSystem):
+    """Each operator's step per class (coordinate, tower powers) of slots,
+    as {class: [(alpha, shift, M)]} in lexicographic order.
+
+    phi_alpha sends a layer's generator y to c*y, c = w X^s t^m its stored
+    continuation, and coordinate i to A_ii times it, A_ii = u X^s t^m.  So
+    a slot of class (i, T) goes to one slot of the same class: the shift of
+    A_ii * prod c_l^T_l is added to its X- and t-exponents, after those of
+    factor alpha are multiplied by p, and its coefficient goes through
+    M = mult(u * prod w_l^T_l) * Frob_alpha.
+    """
+    alg = sys.ring.coeffs
+    one = alg.fd_one()
+    layers = sys.tower.layers
+    classes = {
+        (coord, tpow): []
+        for coord in range(sys.module.rank if sys.module else 1)
+        for tpow in itertools.product(*(range(l.degree) for l in layers))
+    }
+    for alpha in sys.operators:
+        gens = []
+        for layer in layers:
+            img = layer.phi_images.get(alpha)
+            if img is None:
+                raise BudgetExceededError(
+                    f"layer has no frobenius continuation: {layer.phi_notes.get(alpha)}"
                 )
-            ((exps, c),) = layer.a.support.items()
-            if not c.is_constant() or not np.array_equal(
-                c.constant_fd(), alg.fd_one()
-            ):
-                raise NotImplementedError(
-                    "slot solver requires monic monomial kummer data"
-                )
-            layer_info.append((i, layer.degree, exps))
+            gens.append(_one_slot(img[1] if img.keys() == {1} else None))
+        A = sys.module.phi_matrices[alpha] if sys.module else [[sys.ring.one()]]
+        scalars = [
+            _one_slot(None if any(x.support for j, x in enumerate(row) if j != i)
+                      else row[i])
+            for i, row in enumerate(A)
+        ]
         frob = alg.frob_matrices[alpha]
-        steps = {}
-        for coord, (xshift, avec) in enumerate(mults):
-            M = frob if avec is None else (alg.fd_mul_matrix(avec) @ frob) % p
-            for tpow in towpows:
-                # phi_alpha(y^t) = y^(p*t) = a^(p*t div e) * y^(p*t mod e)
-                shift = list(xshift)
-                new_tpow = list(tpow)
-                for i, e, aexps in layer_info:
-                    q, new_tpow[i] = divmod(p * tpow[i], e)
-                    shift = [s + q * x for s, x in zip(shift, aexps)]
-                steps[coord, tpow] = (tuple(new_tpow), shift, M)
-        ops.append((alpha, steps))
-    return ops, rank
+        mats = {}  # M per distinct w
+        for (coord, tpow), steps in classes.items():
+            shift, w = scalars[coord]
+            for (s, c), k in zip(gens, tpow):
+                if k:
+                    shift = tuple(a + k * b for a, b in zip(shift, s))
+                    if not np.array_equal(c, one):
+                        w = alg.fd_mul(w, alg.fd_pow(c, k))
+            key = w.tobytes()
+            if key not in mats:
+                mats[key] = frob if np.array_equal(w, one) else (
+                    alg.fd_mul_matrix(w) @ frob % alg.p)
+            steps.append((alpha, shift, mats[key]))
+    return classes
 
 
-def _enumerate_slots(sys: FrobFixedSystem, rank):
-    """Every slot of the box, in lexicographic order; refuses more than
-    MAX_SLOTS of them before enumerating."""
+def _box(sys: FrobFixedSystem, nclasses):
+    """The X-exponent ranges and the sorted t-monomials of the box;
+    refuses more than MAX_SLOTS slots before building anything."""
     ring = sys.ring
     total_d = ring.coeffs.total_d
     xranges = [
@@ -635,27 +627,39 @@ def _enumerate_slots(sys: FrobFixedSystem, rank):
         else range(sys.subwindow[v] + 1)
         for v in range(ring.nvars)
     ]
-    towranges = list(itertools.product(*(range(d) for d in sys.tower.degrees)))
     # every range starts at 0; a degree past MAX_SLOTS puts a box with
     # transcendentals over the cap, and one without them has only t = ()
     t = min(sys.t_cap, MAX_SLOTS)
-    count = math.prod(r.stop for r in xranges) * rank * len(towranges)
+    count = math.prod(r.stop for r in xranges) * nclasses
     if max(count, 1) * math.comb(t + total_d, total_d) > MAX_SLOTS:
         raise ValueError(f"the fixed-point box has more than {MAX_SLOTS} slots; "
                          "shrink the subwindow, t_cap or quotient")
     # t-monomials of degree <= t_cap: multisets of t_cap indices, index
     # total_d standing for "no variable"
-    tranges = sorted(
+    tmonos = sorted(
         tuple(m.count(k) for k in range(total_d))
         for m in itertools.combinations_with_replacement(range(total_d + 1), t)
     )
-    return [
-        (coord, tpow, xexp, tmono)
-        for coord in range(rank)
-        for tpow in towranges
-        for xexp in itertools.product(*xranges)
-        for tmono in tranges
-    ]
+    return xranges, tmonos
+
+
+def _pinned_exponents(alg: CoefficientAlgebra, steps):
+    """{position: exponent} over the X- then the t-exponents that a slot of
+    the class needs to be fixed by every step; None when no slot is.
+    phi_alpha sends an exponent E of factor alpha to p*E + s, fixed iff
+    E = -s/(p-1), and any other to E + s, fixed iff s = 0."""
+    owner = tuple(range(alg.nvars)) + alg.t_owner
+    pinned = {}
+    for alpha, shift, _ in steps:
+        for j, s in enumerate(shift):
+            if owner[j] != alpha:
+                if s:
+                    return None
+            elif s % (alg.p - 1):
+                return None
+            else:
+                pinned[j] = -s // (alg.p - 1)
+    return pinned
 
 
 def solve_fixed_points(sys: FrobFixedSystem):
@@ -668,63 +672,47 @@ def solve_fixed_points(sys: FrobFixedSystem):
     ring = sys.ring
     alg = ring.coeffs
     p = alg.p
-    ops, rank = _build_slot_ops(sys)
-    # The fixed space is supported on the slots that every operator fixes.
-    # On slots, phi_alpha is injective.  It sends the alpha-exponent x to
-    # p*x + c, every other exponent x to x + c', and each t-exponent m of
-    # factor alpha to p*m; c and c' are fixed by the coordinate and the tower
-    # powers, which phi_alpha leaves unchanged because e | p-1.  So a slot
-    # that moves never comes back: its chain leaves the box, into the
-    # certified window, below exponent 0 or past t_cap, and the coefficient
-    # there is 0; injectivity then forces every coefficient along the chain
-    # to 0.  In a quotient, where X_alpha^r dies, the backward chain ends
-    # instead at a slot with no preimage in the box (non-integral, below 0
-    # or outside W'), whose equation forces 0 forward along the chain.
-    fixed = []
-    for s in _enumerate_slots(sys, rank):
-        coord, tpow, xexp, tmono = s
-        maps = []
-        for alpha, steps in ops:
-            new_tpow, shift, M = steps[coord, tpow]
-            new_xexp = tuple(
-                (p * e if v == alpha else e) + c
-                for v, (e, c) in enumerate(zip(xexp, shift))
-            )
-            if any(
-                e > sys.window[v]
-                for v, e in enumerate(new_xexp)
-                if not (sys.quotient and v == sys.quotient[0])
-            ):
-                raise SubwindowError(
-                    "operator image escapes the certified window; "
-                    "shrink W' or grow W"
-                )
-            new_tmono = tuple(
-                m * p if alg.t_owner[i] == alpha else m
-                for i, m in enumerate(tmono)
-            )
-            if (new_tpow, new_xexp, new_tmono) == (tpow, xexp, tmono):
-                maps.append(M)
-        if len(maps) == len(ops):
-            fixed.append((s, maps))
+    nv = ring.nvars
+    classes = _class_steps(sys)
+    xranges, tmonos = _box(sys, len(classes))
+    free = [v for v in range(nv) if not (sys.quotient and v == sys.quotient[0])]
+    # the largest image exponent over a non-empty box, per direction outside
+    # the quotient, must lie in the certified window
+    if all(xranges) and any(
+        (p if v == alpha else 1) * sys.subwindow[v] + shift[v] > sys.window[v]
+        for steps in classes.values() for alpha, shift, _ in steps for v in free
+    ):
+        raise SubwindowError(
+            "operator image escapes the certified window; shrink W' or grow W"
+        )
+    # The fixed space is supported on the fixed slots (see the module
+    # docstring), and every fixed slot of a class shares the class's maps:
+    # one nullspace per class gives their coefficients.
     basis = []
     unconfirmed = []
     ident = np.eye(alg.N, dtype=np.int64)
-    for s, maps in fixed:
+    for (coord, tpow), steps in classes.items():
+        pinned = _pinned_exponents(alg, steps)
+        if pinned is None:
+            continue
+        xexps = list(itertools.product(*(
+            r if v not in pinned else [e for e in (pinned[v],) if e in r]
+            for v, r in enumerate(xranges)
+        )))
+        tfixed = [m for m in tmonos
+                  if all(pinned.get(nv + k, e) == e for k, e in enumerate(m))]
+        if not (xexps and tfixed):
+            continue
         # a zero block first: with no operators every vector is fixed
-        rows = [0 * ident] + [(M - ident) % p for M in maps]
-        ns = gfp.nullspace(np.concatenate(rows), p)
-        boundary = any(
-            not (sys.quotient and v == sys.quotient[0])
-            and sys.subwindow[v] > 0
-            and s[2][v] == sys.subwindow[v]
-            for v in range(ring.nvars)
-        )
-        for vec in ns:
-            if alg.fd_is_zero(vec):
-                continue
-            entry = (s, np.array(vec, dtype=np.int64) % p)
-            (unconfirmed if boundary else basis).append(entry)
+        rows = [0 * ident] + [(M - ident) % p for _, _, M in steps]
+        vecs = list(gfp.nullspace(np.concatenate(rows), p))
+        for xexp in xexps:
+            boundary = any(
+                sys.subwindow[v] > 0 and xexp[v] == sys.subwindow[v] for v in free
+            )
+            (unconfirmed if boundary else basis).extend(
+                ((coord, tpow, xexp, tmono), vec) for tmono in tfixed for vec in vecs
+            )
     elements = [_slot_to_element(sys, s, vec) for s, vec in basis]
     checks = [
         {"basis_vector": idx, "fixed_under_all_operators": all(

@@ -166,22 +166,18 @@ def poly_eval(p, f, x):
 
 
 def is_irreducible(p, f) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    """Ben-Or's irreducibility test for a polynomial over GF(p): f of degree
+    n is irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= n/2, since a
+    reducible f has an irreducible factor of degree at most n/2.  Most
+    reducible f have a small factor, so the test usually stops early."""
     f = poly_normalize(p, f)
     n = len(f) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    # x^(p^n) == x mod f, and x^(p^(n/l)) != x for all prime divisors l of n
-    xq = poly_pow_mod(p, x, p**n, f)
-    if poly_sub(p, xq, x):
-        return False
-    for ell in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
-        xq = poly_pow_mod(p, x, p ** (n // ell), f)
-        g = poly_gcd(p, poly_sub(p, xq, x), f)
-        if len(g) != 1:
+    x = xq = (0, 1)
+    for _ in range(n // 2):
+        xq = poly_pow_mod(p, xq, p, f)
+        if len(poly_gcd(p, poly_sub(p, xq, x), f)) != 1:
             return False
     return True
 

@@ -96,14 +96,10 @@ class PAdicUnitApprox:
 class SeriesRingSpec:
     """The Laurent ring: coefficient algebra, variable names, precision caps."""
 
-    def __init__(self, coeffs: CoefficientAlgebra, precision=16, variables=None):
+    def __init__(self, coeffs: CoefficientAlgebra, precision=16):
         self.coeffs = coeffs
         self.nvars = coeffs.nvars
-        if variables is None:
-            variables = tuple(f"X_{lbl}" for lbl in coeffs.labels)
-        if len(variables) != self.nvars:
-            raise ValueError("one series variable per tensor factor required")
-        self.variables = tuple(variables)
+        self.variables = tuple(f"X_{lbl}" for lbl in coeffs.labels)
         if isinstance(precision, int):
             precision = (precision,) * self.nvars
         self.precision = tuple(precision)

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,7 +116,8 @@ def test_solver_matches_enumeration_on_shifting_modules(p, degs, shift, c, dim):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_solver_brackets_box_enumeration(data):
-    # the ring or a rank-1 module with phi_alpha = c X_alpha^s, optionally
+    # the ring or a rank-1 module with phi_alpha = c X_alpha^s, c a unit of
+    # F_p or the generator of factor alpha's finite field, optionally
     # modulo X_a^r, under a random set of operators: the elements of the
     # box that they all fix, counted one by one, lie between p^dimension
     # and p^(dimension + unconfirmed)
@@ -126,10 +128,13 @@ def test_solver_brackets_box_enumeration(data):
     if data.draw(st.booleans()):
         # the other phi fixes c X_alpha^s, so the phi relations hold
         alpha, s = data.draw(st.integers(0, 1)), data.draw(st.integers(-1, 1))
+        units = [ring.coeffs.from_int(c) for c in range(1, p)]
+        if degs[alpha] > 1:
+            units.append(ring.coeffs.gen(alpha))
         scalars = {a: ring.one() for a in range(2)}
         scalars[alpha] = ring.monomial(
             tuple(s if v == alpha else 0 for v in range(2)),
-            data.draw(st.integers(1, p - 1)))
+            data.draw(st.sampled_from(units)))
         D = rank_one_from_units(ring, scalars)
     allowed = [v for v in range(2) if not (quotient and v == quotient[0])]
     operators = tuple(data.draw(st.lists(st.sampled_from(allowed), unique=True)))
@@ -157,6 +162,88 @@ def test_solver_brackets_box_enumeration(data):
     lo = rep["dimension"]
     hi = lo + len(rep["unconfirmed"])
     assert p**lo <= count <= p**hi
+
+
+def box_fixed_count(tower, D, box, operators):
+    """How many elements of the box (tower powers, X-exponents in [0, box]
+    and every finite-part vector, in the one coordinate of the rank-1 D)
+    every real phi_alpha fixes: the tower's phi_alpha, then D's phi scalar.
+    phi_alpha - 1 is read off the box's basis as a matrix over the slots of
+    its images, and every vector of the box is tried at once."""
+    ring = tower.ring
+    alg = ring.coeffs
+    p = alg.p
+    basis = [
+        (tpow, xexp, k)
+        for tpow in itertools.product(*(range(d) for d in tower.degrees))
+        for xexp in itertools.product(*(range(b + 1) for b in box))
+        for k in range(alg.N)
+    ]
+    vecs = np.indices((p,) * len(basis), dtype=np.int32).reshape(len(basis), -1)
+    fixed = np.ones(vecs.shape[1], dtype=bool)
+    for alpha in operators:
+        diff = {}  # (tower powers, X-exponents, t-exponents) -> block
+        for col, (tpow, xexp, k) in enumerate(basis):
+            unit = alg.from_fdelta([int(i == k) for i in range(alg.N)])
+            el = {tpow: ring.monomial(xexp, unit)}
+            img = tower.scale(tower.apply_phi(alpha, el), D.phi_matrices[alpha][0][0])
+            for t, x in tower.add(img, {tpow: -ring.monomial(xexp, unit)}).items():
+                for e, c in x.support.items():
+                    assert not c.den
+                    for m, v in c.num.items():
+                        block = diff.setdefault(
+                            (t, e, m), np.zeros((alg.N, len(basis)), dtype=np.int32))
+                        block[:, col] = v
+        for block in diff.values():
+            fixed &= ~(block @ vecs % p).any(axis=0)
+    return int(fixed.sum())
+
+
+@pytest.mark.parametrize("p,degs,e,sub", [
+    (5, [2], 2, (0,)), (5, [2], 4, (0,)), (3, [2, 1], 2, (1, 0)),
+])
+@pytest.mark.parametrize("scalar", ["1", "X_a^-k", "a^-k"])
+def test_solver_reads_non_monic_kummer_continuations(p, degs, e, sub, scalar):
+    # a = g X_a with g the generator of the finite part: phi_a(y) = a^k y
+    # with k = (p-1)/e, so on the class y^1 the coefficient map is a
+    # product by g^k after the Frobenius.  A phi_a scalar X_a^-k makes the
+    # slot y X_a^0 fixed on exponents, where g^k v^p = v decides; a^-k
+    # cancels g^k as well, and v^p = v decides
+    ring = ring_for(p, degs, prec=2 * p)
+    a = ring.constant(ring.coeffs.gen(0)) * ring.var(0)
+    tower = ExtensionTower(ring, [build_kummer(ring, a, e, alpha=0)])
+    k = (p - 1) // e
+    scalars = {v: ring.one() for v in range(ring.nvars)}
+    scalars[0] = {"1": ring.one(), "X_a^-k": ring.var(0) ** -k, "a^-k": a**-k}[scalar]
+    D = rank_one_from_units(ring, scalars)
+    rep = solve_fixed_points(FrobFixedSystem((tower, D), subwindow=sub, t_cap=0))
+    assert all(chk["fixed_under_all_operators"] for chk in rep["checks"])
+    count = box_fixed_count(tower, D, sub, range(ring.nvars))
+    lo = rep["dimension"]
+    assert p**lo <= count <= p ** (lo + len(rep["unconfirmed"]))
+
+
+def test_solver_refuses_a_continuation_of_several_slots():
+    # y^2 = 1 + X_b in direction a: phi_b(y) = y (1 + 2 X_b + X_b^2), not
+    # one slot, and the solver must not take it for y
+    ring = ring_for(5, [1, 1], prec=6)
+    tower = ExtensionTower(
+        ring, [build_kummer(ring, ring.one() + ring.var(1), 2, alpha=0)])
+    D = rank_one_from_units(ring, {v: ring.one() for v in range(2)})
+    with pytest.raises(NotImplementedError, match="one slot"):
+        solve_fixed_points(
+            FrobFixedSystem((tower, D), operators=(1,), subwindow=(1, 1)))
+
+
+def test_solver_refuses_a_layer_without_continuation():
+    ring = ring_for(5, [1, 1], prec=6)
+    layer = build_kummer(ring, ring.var(0), 2, alpha=0)
+    layer.phi_images[1] = None
+    layer.phi_notes[1] = "frobenius continuation unavailable: test"
+    D = rank_one_from_units(ring, {v: ring.one() for v in range(2)})
+    with pytest.raises(BudgetExceededError, match="unavailable: test"):
+        solve_fixed_points(FrobFixedSystem(
+            (ExtensionTower(ring, [layer]), D), operators=(1,), subwindow=(1, 1)))
 
 
 def test_solver_refuses_negative_and_oversized_boxes():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from phigamma.fields import (
     is_irreducible,
     is_prime,
     multiplicative_order,
+    poly_divmod,
     poly_gcd,
     poly_mul,
     power,
@@ -51,6 +54,32 @@ def test_find_irreducible_is_irreducible(p, n):
     mod = find_irreducible(p, n, random.Random(1))
     assert len(mod) == n + 1
     assert is_irreducible(p, mod)
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 3)])
+def test_irreducibility_matches_a_divisor_search(p, top):
+    # every monic f of degree <= top against a search for a monic divisor
+    # of degree 1..deg f // 2
+    def has_divisor(f):
+        return any(
+            not poly_divmod(p, f, low + (1,))[1]
+            for d in range(1, (len(f) - 1) // 2 + 1)
+            for low in itertools.product(range(p), repeat=d)
+        )
+
+    for n in range(top + 1):
+        for low in itertools.product(range(p), repeat=n):
+            f = low + (1,)
+            assert is_irreducible(p, f) == (n >= 1 and not has_divisor(f)), f
+
+
+def test_find_irreducible_at_degree_64_is_quick():
+    # the search draws many reducible candidates, and most of them have a
+    # small factor that the test finds in its first steps
+    start = time.perf_counter()
+    mod = find_irreducible(7, 64, random.Random(70064))
+    assert time.perf_counter() - start < 3
+    assert len(mod) == 65
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

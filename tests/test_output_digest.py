@@ -40,3 +40,13 @@ SPLIT_DIGEST = "5188fe32594696b452ace14254d8bf443abf452f6fd4fd66ecbc8cbc3cf0203f
 def test_split_outputs_are_pinned():
     count, failed, digest = output_digest.workload_digest("split", [1, 61, 7])
     assert (count, failed, digest) == (888, 0, SPLIT_DIGEST)
+
+
+# every pipeline output for seeds 1, 61 and 7, as the per-slot solver gave
+# them: any change to a fixed-points basis or a roundtrip report moves it
+PIPELINE_DIGEST = "dda55b18a9d4d1265960bb3d911d49c771c5b24636d3c3736a20da1e5a545382"
+
+
+def test_pipeline_outputs_are_pinned():
+    count, failed, digest = output_digest.workload_digest("pipeline", [1, 61, 7])
+    assert (count, failed, digest) == (366, 0, PIPELINE_DIGEST)
