@@ -28,11 +28,15 @@ on an Artin-Schreier layer, which covers every product of two reduced
 elements.  A Kummer layer's Frobenius continuations follow one rule:
 phi_v(y) = y^k * w with k = p in the layer's own direction and k = 1 in the
 others, and w^e = phi_v(a)/a^k.  w = 1 when that quotient is 1 on the
-window; otherwise w is an e-th root, a binomial series times a root r0 of
-the constant term.  r0 = 1 when the constant term is 1; any other r0 is
-found by enumerating the finite part, which is not tried past p^N = 2^16
-candidates.  A continuation that cannot be found is recorded as
-unavailable.
+window; otherwise w is an e-th root: a root r0 of the constant term times
+the principal root of the rest, one power (1+h)^n with n*e = 1 mod p^M and
+p^M past every cap, as (1+h)^(p^M) = 1 + h^(p^M) is 1 on the window.
+r0 = 1 when the constant term is 1; any other r0 is found by enumerating
+the finite part, which is not tried past p^N = 2^16 candidates.  Each w is
+fixed only up to an e-th root of unity, so when some w is not 1 the
+composite of the phi_v on y, which must be zeta*y^p with zeta^e = 1 a
+constant, is computed, and phi_alpha(y) is divided by zeta.  A
+continuation that cannot be found is recorded as unavailable.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .series import (
     LaurentElement,
     PAdicUnitApprox,
     SeriesRingSpec,
-    _lucas_binomial,
     digits_for_window,
 )
 
@@ -154,8 +157,10 @@ def build_artin_schreier(base: SeriesRingSpec, a: LaurentElement, alpha=0):
         if set(c.support) - {(0,) * base.nvars} or not (c**p).eq_window(c):
             raise AssertionError("artin-schreier continuations miss y^p = y + a")
         shifts[alpha] = shifts[alpha] + c
-    for v, u in enumerate(shifts):
-        ext.phi_images[v] = None if u is None else {0: u, 1: base.one()}  # y + u
+    for v, u in enumerate(shifts):  # y + u, with a zero u left out
+        ext.phi_images[v] = None if u is None else {
+            j: c for j, c in ((0, u), (1, base.one())) if c.support
+        }
     assert ext.relation_check()
     return ext
 
@@ -242,11 +247,12 @@ def build_kummer(base: SeriesRingSpec, a: LaurentElement, e: int, alpha=0):
     p = base.coeffs.p
     if (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p - 1 = {p - 1}")
-    if a.unit_verdict() != "unit":
+    a_inv = a.try_invert()
+    if a_inv is None:
         raise NotInvertibleError("kummer datum must be a certified unit")
     zeta = _primitive_root_power(p, e)
     ext = FiniteExtension(base, "kummer", alpha, e, a, zeta)
-    a_inv = a.invert()
+    rooted = False  # some w differs from 1
     for v in range(base.nvars):
         # phi_v(y) = y^k * w with w^e = phi_v(a) / a^k; the layer lives in
         # the alpha direction, where k = p
@@ -259,9 +265,27 @@ def build_kummer(base: SeriesRingSpec, a: LaurentElement, e: int, alpha=0):
                 ext.phi_images[v] = None
                 ext.phi_notes[v] = f"frobenius continuation unavailable: {note}"
                 continue
+            rooted = True
         img = ext.power(k)
         ext.phi_images[v] = img if w is None else {j: c * w for j, c in img.items()}
         ext.phi_notes[v] = "ok"
+    if rooted and None not in ext.phi_images.values():
+        # the other phi_v, then phi_alpha, send y to c * y^p with c^e = 1,
+        # read from the quotient by y^p = a^(p div e) y^(p mod e)
+        tower = ExtensionTower(base, [ext])
+        image = {(1,): base.one()}
+        for v in [*(v for v in range(base.nvars) if v != alpha), alpha]:
+            image = tower.apply_phi(v, image)
+        ((j, yp),) = ext.power(p).items()
+        ratio = image.get((j,), base.zero()) * a_inv ** (p // e)
+        c = ratio.support.get((0,) * base.nvars)
+        if c is None or c**e != base.coeffs.one() or not tower.eq_window(
+            image, {(j,): yp.scale(c)}
+        ):
+            raise AssertionError("kummer continuations miss y^p beyond a root of unity")
+        ext.phi_images[alpha] = {
+            i: x.scale(c ** (e - 1)) for i, x in ext.phi_images[alpha].items()
+        }
     assert ext.relation_check()
     return ext
 
@@ -277,8 +301,8 @@ def _primitive_root_power(p, e):
 def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
     """An e-th root of a unit q = X^m*q0*(1+h): X^(m/e) when q's least
     exponents m are a term of q and e | m, times r0 = 1 when q0 = 1 (a
-    principal unit), else r0 by enumeration, times a binomial series for
-    1+h."""
+    principal unit), else r0 by enumeration, times (1+h)^(1/e) as one
+    power of 1+h."""
     alg = ring.coeffs
     p = alg.p
     if not q.support:
@@ -307,21 +331,12 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
     h = scaled - ring.one()
     if h.support and min(sum(x) for x in h.support) < 1:
         return None, "principal part not congruent to 1"
-    # (1+h)^(1/e) via the p-adic binomial series; 1/e in Z_p has an integer
-    # representative mod p^M, and Lucas digits make the truncation exact
-    M = digits_for_window(p, max(ring.precision)) + 1
-    c = PAdicUnitApprox(p, pow(e, -1, p**M), M)
-    digits = c.digits()
+    # (1+h)^(1/e) = (1+h)^n with n*e = 1 mod p^M: in characteristic p,
+    # (1+h)^(p^M) = 1 + h^(p^M), and every term of h^(p^M) lies past the
+    # window once p^M exceeds every cap
     w = ring.one()
-    hk = ring.one()
-    bound = sum(w_ for w_ in ring.precision)
-    for k in range(1, bound + 1):
-        hk = hk * h
-        if not hk.support:
-            break
-        coeff = _lucas_binomial(digits, k, p)
-        if coeff:
-            w = w + hk.scale(coeff)
+    if h.support:
+        w = scaled ** pow(e, -1, p ** digits_for_window(p, max(ring.precision)))
     w = w.scale(alg.from_fdelta(r0))
     if lead is not None:
         w = w.monomial_shift(lead)

@@ -233,12 +233,13 @@ class RingEndo:
         for beta, poly in c.den:
             num = {mono: (alg.fd_one() * coeff) % alg.p for mono, coeff in poly}
             img = self._substitute([(zero, CoeffElement(alg, num, ()))], exact)
-            verdict = img.unit_verdict()
-            if verdict != "unit":
+            inv = img.try_invert()
+            if inv is None:
                 raise UndecidedError(
-                    f"denominator image is {verdict}; cannot apply endomorphism"
+                    f"denominator image is {img.unit_verdict()}; "
+                    "cannot apply endomorphism"
                 )
-            out = out * img.invert()
+            out = out * inv
         return out
 
     def apply(self, a: LaurentElement) -> LaurentElement:

@@ -10,6 +10,9 @@ fixed once and for all:
 so coordinates transform as  v -> A_g . sigma_g(v)  and compositions satisfy
 Mat(T_g o T_h) = A_g . sigma_g(A_h).
 
+Determinants and adjugates are cofactor expansions, and every inverse is
+the adjugate times det^-1 (``_det_and_inverse``).
+
 Lattices are finitely generated submodules over the power-series subring;
 membership is decided by solving against an invertible generator matrix and
 certifying nonnegative exponents, reporting "undecided" near the window
@@ -18,7 +21,9 @@ boundary rather than guessing.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .coeff import NotInvertibleError
 from .endos import RingEndo, make_delta, make_gamma, make_phi
@@ -46,22 +51,18 @@ def mat_identity(ring, r):
     ]
 
 
+def _sum(terms):
+    """The sum of a nonempty iterable of series, starting at its first term."""
+    return functools.reduce(operator.add, terms)
+
+
 def mat_mul(A, B):
-    r, m, c = len(A), len(B), len(B[0])
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            acc = A[0][0].ring.zero()
-            for k in range(m):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[_sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
 def mat_vec(A, v):
-    return [c[0] for c in mat_mul(A, [[x] for x in v])]
+    return [_sum(map(operator.mul, row, v)) for row in A]
 
 
 def mat_apply(endo: RingEndo, A):
@@ -74,55 +75,43 @@ def mat_eq_window(A, B):
     )
 
 
-def mat_scale(A, s):
-    return [[x * s for x in row] for row in A]
+def _cofactor(A, i, j):
+    """(-1)^(i+j) times the determinant of A without row i and column j."""
+    minor = mat_det([row[:j] + row[j + 1:] for k, row in enumerate(A) if k != i])
+    return minor if (i + j) % 2 == 0 else -minor
 
 
 def mat_det(A):
-    r = len(A)
-    if r == 1:
+    """The determinant, by cofactor expansion along the first row."""
+    if len(A) == 1:
         return A[0][0]
-    ring = A[0][0].ring
-    det = ring.zero()
-    for perm in itertools.permutations(range(r)):
-        sign = _perm_sign(perm)
-        term = ring.one()
-        for i in range(r):
-            term = term * A[i][perm[i]]
-        det = det + (term if sign > 0 else -term)
-    return det
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return _sum(a * _cofactor(A, 0, j) for j, a in enumerate(A[0]))
 
 
 def mat_adjugate(A):
+    """The adjugate: entry (j, i) is the (i, j) cofactor."""
     r = len(A)
     if r == 1:
         return [[A[0][0].ring.one()]]
-    out = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            minor = [
-                [A[a][b] for b in range(r) if b != j] for a in range(r) if a != i
-            ]
-            cof = mat_det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
+    return [[_cofactor(A, i, j) for i in range(r)] for j in range(r)]
+
+
+def _det_and_inverse(A):
+    """(det A, A^-1), with A^-1 None when det A is not a certified unit."""
+    det = mat_det(A)
+    dinv = det.try_invert()
+    if dinv is None:
+        return det, None
+    return det, [[x * dinv for x in row] for row in mat_adjugate(A)]
 
 
 def mat_inverse(A):
     """Inverse over the Laurent ring; raises when the determinant is not
     a certified unit."""
-    det = mat_det(A)
-    dinv = det.invert()
-    return mat_scale(mat_adjugate(A), dinv)
+    det, inv = _det_and_inverse(A)
+    if inv is None:
+        raise NotInvertibleError(f"element is {det.unit_verdict()}")
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +196,10 @@ def check_etale(D: PhiGammaModule):
     Laurent ring."""
     report = {}
     for alpha, A in sorted(D.phi_matrices.items()):
-        det = mat_det(A)
-        verdict = det.unit_verdict()
+        det, inv = _det_and_inverse(A)
+        verdict = "unit" if inv is not None else det.unit_verdict()
         entry = {"alpha": D.ring.coeffs.labels[alpha], "det_verdict": verdict}
-        if verdict == "unit":
-            inv = mat_scale(mat_adjugate(A), det.invert())
+        if inv is not None:
             ok = mat_eq_window(mat_mul(A, inv), mat_identity(D.ring, D.rank))
             entry["etale"] = bool(ok)
             entry["inverse"] = inv
@@ -432,13 +420,12 @@ class Lattice:
         self.generators = gens
         self.gmatrix = [[gens[j][i] for j in range(len(gens))]
                         for i in range(module.rank)]
-        det = mat_det(self.gmatrix)
-        if det.unit_verdict() != "unit":
+        _, self.ginv = _det_and_inverse(self.gmatrix)
+        if self.ginv is None:
             raise ValueError(
                 "generator matrix must be invertible over the Laurent ring "
                 "(lattice must span the module after inverting X_Delta)"
             )
-        self.ginv = mat_scale(mat_adjugate(self.gmatrix), det.invert())
         self._certificate = None  # (D, dplusplus_certified_lattice(D, self))
 
     def scaled(self, k):

@@ -510,71 +510,61 @@ class LaurentElement:
             raise PrecisionError("valuation not certified at this precision")
         return min(sum(e) for e in self.support)
 
-    def _component_support(self, j):
-        dec = self.ring.coeffs.idempotent_decomposition()
-        if dec.ell == 1:
-            return self.support
-        out = {}
-        for e, c in self.support.items():
-            cj = c.idem_component(j)
-            if not cj.is_zero():
-                out[e] = cj
-        return out
-
     def unit_verdict(self):
         """'unit', 'nonunit', or 'undecided' (insufficient precision/form)."""
         v, _ = self._corner_analysis()
         return v
 
-    def _corner_analysis(self):
-        """Per idempotent component, locate the unique minimal corner.
+    def try_invert(self):
+        """The inverse, or None when the verdict is not 'unit'."""
+        try:
+            return self.invert()
+        except NotInvertibleError:
+            return None
 
-        Returns ``(verdict, corners)`` where corners maps component index j to
-        ``(exps, coeff)`` with coeff the corner coefficient of component j.
-        """
-        ring = self.ring
-        alg = ring.coeffs
-        if not self.support:
-            if self.is_exact():
-                return "nonunit", None
-            return "undecided", None
+    def _corner_analysis(self):
+        """``(verdict, parts)``: for a unit, one ``(b_j, a_j, v, w)`` per
+        idempotent b_j (1 for one component), with the component
+        a_j = b_j * self (self for one component), its unique minimal
+        corner v, and w the inverse of the corner coefficient within the
+        component, from its one unit analysis; otherwise parts is None."""
+        alg = self.ring.coeffs
         dec = alg.idempotent_decomposition()
-        corners = {}
+        parts = []
         for j in range(dec.ell):
-            supp = self._component_support(j)
-            if not supp:
-                if self.is_exact():
-                    return "nonunit", None
-                return "undecided", None
-            minimal = _minimal_corners(supp)
+            if dec.ell == 1:
+                bj, aj = alg.one(), self
+            else:
+                bj = alg.from_fdelta(dec.idempotents[j])
+                aj = self.scale(bj)
+            if not aj.support:
+                return ("nonunit" if self.is_exact() else "undecided"), None
+            minimal = _minimal_corners(aj.support)
             if len(minimal) > 1:
                 return "nonunit", None
             (v,) = minimal
-            c = supp[v]
+            c = aj.support[v]
             if dec.ell > 1:
                 # test invertibility within the component: patch the other
                 # components with 1 and ask for a global unit
-                comp = alg.one() - alg.from_fdelta(dec.idempotents[j])
-                c_test = c + comp
-            else:
-                c_test = c
-            verdict = c_test.unit_verdict()
+                c = c + (alg.one() - bj)
+            verdict, w = c._unit_analysis()
             if verdict == "zero_divisor_or_zero":
                 return "nonunit", None
             if verdict == "undecided":
                 return "undecided", None
-            corners[j] = (v, c_test)
-        return "unit", corners
+            parts.append((bj, aj, v, w))
+        return "unit", parts
 
     def invert(self):
         """The inverse, exact on the returned window.
 
-        Per idempotent component b_j the element is corner * (b_j - g) with
-        g of positive total degree after the corner shift, so its inverse
-        there is the series b_j + g + g^2 + ... (g = b_j g).  Only terms of
+        Per idempotent component b_j, ``_corner_analysis`` gives a_j =
+        w^-1 X^v (b_j - g) with g of positive total degree, so the inverse
+        there is w X^-v (b_j + g + g^2 + ...) (g = b_j g).  Only terms of
         total degree <= D = sum of the precision caps fit in a window, so
-        the series is cut after g^D and taken by doubling:
-        (b_j + g)(b_j + g^2)(b_j + g^4)... = sum of g^i for i < 2^k, in
+        the series is cut after g^D and taken by doubling: (b_j + g)(b_j +
+        g^2)(b_j + g^4)... = sum of g^i for i < 2^k, in
         2 ceil(log2(D + 1)) - 2 products, stopping once 2^k > D.  Every
         product and sum folds only g's window (cut to the caps), pole bound
         0 and pole set with the exact metadata of b_j, so the window, pole
@@ -583,23 +573,14 @@ class LaurentElement:
         changes no coefficient on it, and the values there are that
         series' values.
         """
-        verdict, corners = self._corner_analysis()
+        verdict, parts = self._corner_analysis()
         if verdict != "unit":
             raise NotInvertibleError(f"element is {verdict}")
         ring = self.ring
-        alg = ring.coeffs
-        dec = alg.idempotent_decomposition()
         D = sum(ring.precision)
-        total = ring.zero()
-        for j, (v, c_test) in corners.items():
-            w = c_test.invert()
-            if dec.ell == 1:
-                aj = self
-                unit_part = ring.one()
-            else:
-                bj = alg.from_fdelta(dec.idempotents[j])
-                aj = self.scale(bj)
-                unit_part = ring.constant(bj)
+        total = None
+        for bj, aj, v, w in parts:
+            unit_part = ring.constant(bj)
             shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
             g = unit_part - shifted  # all terms have total degree >= 1
             if not g.support:
@@ -611,7 +592,8 @@ class LaurentElement:
                     pw = pw * pw
                     inv = inv + inv * pw
                     reach *= 2
-            total = total + inv.scale(w).monomial_shift(tuple(-x for x in v))
+            inv = inv.scale(w).monomial_shift(tuple(-x for x in v))
+            total = inv if total is None else total + inv
         return total
 
     # -- repr ----------------------------------------------------------

@@ -25,7 +25,8 @@ from phigamma import (
     solve_quotient_fixed_points,
     tensor_rank_one,
 )
-from phigamma.series import SeriesRingSpec
+from phigamma.descent import _eth_root
+from phigamma.series import LaurentElement, SeriesRingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +247,18 @@ def test_solver_refuses_a_layer_without_continuation():
             (ExtensionTower(ring, [layer]), D), operators=(1,), subwindow=(1, 1)))
 
 
+def test_solver_takes_an_artin_schreier_layer_that_an_operator_fixes():
+    # y^2 - y = 1 in direction a at p = 2: u_b = 0, so phi_b(y) = y is
+    # stored as one slot, and the box X^0 has the fixed elements 1 and y
+    ring = ring_for(2, [1, 1], prec=8)
+    ext = build_artin_schreier(ring, ring.one(), alpha=0)
+    assert ext.phi_images[1].keys() == {1}
+    D = rank_one_from_units(ring, {v: ring.one() for v in range(2)})
+    rep = solve_fixed_points(FrobFixedSystem(
+        (ExtensionTower(ring, [ext]), D), operators=(1,), subwindow=(0, 0)))
+    assert rep["dimension"] == 2 and not rep["unconfirmed"]
+    assert all(chk["fixed_under_all_operators"] for chk in rep["checks"])
+
 def test_solver_refuses_negative_and_oversized_boxes():
     ring = ring_for(2, [1, 1], ds=[1, 1], prec=8)
     for kwargs in ({"t_cap": -1}, {"window": -1}, {"subwindow": (2, -1)},
@@ -360,10 +373,21 @@ LAYERS_BUILT = [
     ("kummer", 5, [1, 1], 10, "X_a", 2, 0),
     ("artin_schreier", 3, [1, 1], 8, "1+X_b", None, 1),
     ("artin_schreier", 2, [2, 2], 8, "1", None, 1),
+    # a = g_b X_a, g_b generating factor b: the roots w_v alone gave
+    # zeta * y^p with zeta^e = 1, zeta = -1 at p = 5, e = 2, and the
+    # non-scalar zeta = e1 + e2 + 4 e3 at p = 5, e = 4, degrees (2, 2)
+    ("kummer", 5, [1, 2], 8, "y_b*X_a", 2, 0),
+    ("kummer", 5, [1, 2], 8, "y_b*X_a", 4, 0),
+    ("kummer", 7, [1, 2], 8, "y_b*X_a", 3, 0),
+    ("kummer", 7, [1, 2], 8, "y_b*X_a", 6, 0),
+    ("kummer", 3, [1, 2], 8, "y_b*X_a", 2, 0),
+    ("kummer", 5, [2, 2], 8, "y_b*X_a", 4, 0),
 ]
 
 
 def layer_datum(ring, text):
+    if text == "y_b*X_a":  # read only on rings with a factor b
+        return ring.constant(ring.coeffs.gen(1)) * ring.var(0)
     return {
         "1": ring.one(), "X_a": ring.var(0), "X_b": ring.var(1),
         "X_a^-1": ring.monomial((-1,) + (0,) * (ring.nvars - 1)),
@@ -471,6 +495,24 @@ def test_kummer_root_of_a_principal_unit_has_constant_term_one():
     assert tower.eq_window(tower.apply_phi(0, tower.apply_phi(1, y)),
                            tower.apply_phi(1, tower.apply_phi(0, y)))
 
+
+def test_kummer_principal_root_is_one_power(monkeypatch):
+    # q = phi_b(1 + X_b)/(1 + X_b), e = 4, at p = 5, degrees (2, 2): the
+    # root of 1 + h is (1 + h)^n with 4n = 1 mod 25 by square-and-multiply,
+    # then w^4 is checked; the binomial series took 22 products
+    ring = ring_for(5, [2, 2], prec=8)
+    a = ring.one() + ring.var(1)
+    q = make_phi(ring, 1).apply(a) * a.invert()
+    calls = []
+    times = LaurentElement._times
+    monkeypatch.setattr(
+        LaurentElement, "_times", lambda x, y: calls.append(1) or times(x, y)
+    )
+    w, note = _eth_root(ring, q, 4)
+    monkeypatch.undo()
+    assert note is None and len(calls) <= 12
+    assert (w**4).eq_window(q)
+    assert w.support[(0, 0)].constant_fd().tolist() == [1, 0, 0, 0]
 
 def test_kummer_root_of_a_monomial_quotient():
     # a = X_b at p = 5, degrees (1, 1), e = 2: phi_b(a)/a = X_b^4 and

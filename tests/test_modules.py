@@ -27,8 +27,10 @@ from phigamma.modules import (
     _delta_power_matrix,
     base_change,
     mat_apply,
+    mat_det,
     mat_eq_window,
     mat_identity,
+    mat_inverse,
     mat_mul,
     phi_s_denominator,
 )
@@ -226,3 +228,110 @@ def test_dplusplus_certificate_is_kept_per_module():
     assert dplusplus_certified_lattice(D, M) is cert
     other = module_from_json(ring, module_to_json(D))
     assert dplusplus_certified_lattice(other, M) is not cert
+
+
+# ---------------------------------------------------------------------------
+# rank >= 2: cofactor determinants, adjugate inverses, checks and lattices
+
+
+def square_matrices(ring):
+    """Invertible 2 x 2 and 3 x 3 matrices, one with a pole, and a second
+    matrix of each size for the product rule."""
+    one, xa, xb = ring.one(), ring.var(0), ring.var(1)
+    xa_inv = ring.monomial((-1, 0))
+    rank2 = [
+        [[one + xa, xb], [xa * xb, one + xb]],
+        [[xa_inv, one], [xb, one + xa]],
+    ]
+    rank3 = [
+        [[one + xa, xb, xa], [xb, one, xa * xb], [xa * xa, xb, one + xb]],
+        [[xa_inv, one, ring.zero()], [xb, one + xa, one], [ring.zero(), xa, one + xb]],
+    ]
+    return rank2, rank3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_inverse_at_ranks_two_and_three(p):
+    ring = ring_for(p, [1, 1], prec=6)
+    for mats in square_matrices(ring):
+        for A in mats:
+            inv = mat_inverse(A)
+            ident = mat_identity(ring, len(A))
+            assert mat_eq_window(mat_mul(A, inv), ident)
+            assert mat_eq_window(mat_mul(inv, A), ident)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_determinant_is_multiplicative_at_ranks_two_and_three(p):
+    ring = ring_for(p, [1, 1], prec=6)
+    for A, B in square_matrices(ring):
+        assert mat_det(mat_mul(A, B)).eq_window(mat_det(A) * mat_det(B))
+    # a nonunit determinant: X_a + X_b on the diagonal
+    one, xa, xb = ring.one(), ring.var(0), ring.var(1)
+    assert mat_det([[xa + xb, xa], [ring.zero(), one]]).unit_verdict() == "nonunit"
+    with pytest.raises(NotInvertibleError):
+        mat_inverse([[xa + xb, xa], [ring.zero(), one]])
+
+
+def diagonal_module(ring):
+    """The sum of two rank-1 modules: phi_a = diag(1 + X_a, 1) and
+    phi_b = diag(1, 1 + X_b)."""
+    one, zero = ring.one(), ring.zero()
+    return PhiGammaModule(ring, 2, {
+        0: [[one + ring.var(0), zero], [zero, one]],
+        1: [[one, zero], [zero, one + ring.var(1)]],
+    })
+
+
+def test_rank_two_base_change_is_etale_and_consistent():
+    ring = ring_for(3, [1, 1], prec=6)
+    D = diagonal_module(ring)
+    P = [[ring.one(), ring.var(0)], [ring.zero(), ring.one()]]
+    D2 = base_change(D, P)
+    assert not D2.phi_matrices[0][0][1].eq_window(ring.zero())
+    rep = check_etale(D2)
+    assert rep["pass"] and rep[0]["det_verdict"] == rep[1]["det_verdict"] == "unit"
+    assert check_relations(D2)["pass"]
+    D2.phi_matrices[0][0][1] = D2.phi_matrices[0][0][1] + ring.var(1)
+    rel = check_relations(D2)
+    assert not rel["pass"]
+    assert "first_discrepancy" in rel["checks"][0]
+
+
+def test_check_etale_reads_nonunit_and_undecided_at_rank_two():
+    ring = ring_for(3, [1, 1], prec=6)
+    one, zero = ring.one(), ring.zero()
+    ident = [[one, zero], [zero, one]]
+    D = PhiGammaModule(ring, 2, {
+        0: [[ring.var(0) + ring.var(1), zero], [zero, one]],
+        1: [[zero.truncated(3), zero], [zero, one]],
+    })
+    rep = check_etale(D)
+    assert rep[0] == {"alpha": "a", "det_verdict": "nonunit", "etale": False}
+    assert rep[1] == {
+        "alpha": "b", "det_verdict": "undecided",
+        "etale": "undecided at this precision",
+    }
+    assert not rep["pass"]
+    D.phi_matrices = {0: ident, 1: ident}
+    assert check_etale(D)["pass"]
+
+
+def test_rank_two_lattice_membership():
+    ring = ring_for(3, [1, 1], prec=6)
+    D = diagonal_module(ring)
+    one, zero, xa, xb = ring.one(), ring.zero(), ring.var(0), ring.var(1)
+    # generators (1, X_a) and (0, 1): G = [[1, 0], [X_a, 1]], G^-1 = [[1, 0], [-X_a, 1]]
+    M = Lattice(D, [[one, xa], [zero, one]])
+    assert mat_eq_window(mat_mul(M.gmatrix, M.ginv), mat_identity(ring, 2))
+    verdict, c = M.membership([one, zero])
+    assert verdict == "yes"
+    assert c[0].eq_window(one) and c[1].eq_window(-xa)
+    assert M.membership([zero, xb])[0] == "yes"
+    assert M.membership([ring.monomial((-1, 0)), zero])[0] == "no"
+    assert M.membership([one, ring.monomial((-1, 0))])[0] == "no"
+    Mk = M.scaled(1)
+    assert Mk.membership([one, zero])[0] == "no"
+    assert Mk.membership([ring.x_delta(1), ring.x_delta(1) * xa])[0] == "yes"
+    with pytest.raises(ValueError):
+        Lattice(D, [[xa + xb, zero], [zero, one]])

@@ -50,3 +50,14 @@ PIPELINE_DIGEST = "dda55b18a9d4d1265960bb3d911d49c771c5b24636d3c3736a20da1e5a545
 def test_pipeline_outputs_are_pinned():
     count, failed, digest = output_digest.workload_digest("pipeline", [1, 61, 7])
     assert (count, failed, digest) == (366, 0, PIPELINE_DIGEST)
+
+
+# every operators output for seeds 1, 61 and 7, as the term-by-term unit
+# analysis and inversion gave them: any change to a product, an inverse or
+# an operator word moves it
+OPERATORS_DIGEST = "712b776248a37e5007a4a47be0271c19fa37147555f28a1153d85ca86a71b7f5"
+
+
+def test_operators_outputs_are_pinned():
+    count, failed, digest = output_digest.workload_digest("operators", [1, 61, 7])
+    assert (count, failed, digest) == (720, 0, OPERATORS_DIGEST)

@@ -118,19 +118,20 @@ def test_invert_random_units(p, degs):
 def reference_invert(u):
     """The inverse by the term-by-term geometric series: per idempotent
     component, D + 1 steps inv <- b_j - h inv, D the sum of the caps."""
-    verdict, corners = u._corner_analysis()
+    verdict, parts = u._corner_analysis()
     assert verdict == "unit"
     ring = u.ring
     alg = ring.coeffs
     dec = alg.idempotent_decomposition()
     total = ring.zero()
-    for j, (v, c_test) in corners.items():
-        w = c_test.invert()
+    for j, (_, _, v, _) in enumerate(parts):
         if dec.ell == 1:
             aj, unit_part = u, ring.one()
+            w = aj.support[v].invert()
         else:
             bj = alg.from_fdelta(dec.idempotents[j])
             aj, unit_part = u.scale(bj), ring.constant(bj)
+            w = (aj.support[v] + (alg.one() - bj)).invert()
         shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
         h = shifted - unit_part
         if not h.support:
@@ -276,6 +277,31 @@ def test_component_patched_units():
     assert ok.unit_verdict() == "unit"
     assert (ok * ok.invert()).eq_window(ring.one())
 
+
+def test_invert_analyses_each_corner_once(monkeypatch):
+    # GF(4) (x) GF(4) has l = 2 components: one unit analysis per corner
+    # coefficient gives both the verdict and the corner inverse w
+    ring = ring_for(2, [2, 2], prec=5)
+    assert ring.coeffs.idempotent_decomposition().ell == 2
+    u = ring.monomial((-1, 0)) + ring.one() + ring.monomial((1, 1))
+    calls = []
+    analysis = CoeffElement._unit_analysis
+    monkeypatch.setattr(
+        CoeffElement, "_unit_analysis", lambda c: calls.append(1) or analysis(c)
+    )
+    inv = u.try_invert()
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert (u * inv).eq_window(ring.one())
+    assert laurent_to_json(inv) == laurent_to_json(u.invert())
+
+
+def test_try_invert_gives_none_for_a_nonunit():
+    ring = ring_for(2, [2, 2], prec=6)
+    assert (ring.var(0) + ring.var(1)).try_invert() is None
+    assert ring.zero().try_invert() is None
+    e0 = ring.coeffs.from_fdelta(ring.coeffs.idempotent_decomposition().idempotents[0])
+    assert ring.constant(e0).try_invert() is None
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_binomial_power_matches_integer_expansion(p):
