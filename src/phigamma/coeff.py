@@ -20,23 +20,29 @@ first use.  Every sum of products is exact in int64, since
 N * (p-1)^2 < 2^53 is required; there is no floating point.
 
 Products of several terms at once go through one kernel,
-``CoefficientAlgebra.mul_rows``: each operand is a list of rows (an integer
-key, such as a t-monomial or a series exponent followed by one, and a
-vector), all pair products come from one matmul with the map for the rows
+``CoefficientAlgebra.mul_rows``: each operand is a row block (int64 keys,
+such as a t-monomial or a series exponent followed by one, and reduced
+vectors), all pair products come from one matmul with the map for the rows
 of one operand and one batched matmul with the rows of the other, and the
-products are summed per summed key.  ``combine_rows`` is the linear
-combination form that substitution uses: each row of one list multiplies
-its own block of rows of the other, through the same left-multiplication
-maps and the same grouping.  A single row takes the shortcut instead,
-``CoefficientAlgebra.row_times``: one row v0 t^m0 times any number of
-numerators is a shift of their t-monomials by m0 and one matmul of their
-stacked vectors with v0's left-multiplication matrix, with no key arrays
-and no grouping (the shifted keys stay distinct).  Numerator products with
-a one-term side, series products with a one-row operand and substitution
+products are summed per summed key.  The result is again a block, in block
+order: unique nonzero rows sorted by key, lexicographically from the first
+entry.  A series keeps its terms as such a block (see series.py), so a
+kernel's output is the next operation's input as it is; only a series
+with a coefficient that has a denominator keeps a dict of
+``CoeffElement``s, and a block's ``CoeffElement``s exist only in the
+read-only ``support`` view, built on its first read.
+``combine_rows`` is the linear combination form that substitution uses:
+each row of one block multiplies its own block of rows of the other,
+through the same left-multiplication maps and the same grouping.  A single
+row takes the shortcut instead, ``CoefficientAlgebra.row_times``: one
+vector v0 times any number of rows is one matmul with v0's
+left-multiplication matrix, and the caller shifts the keys by the row's,
+which keeps them distinct and in order.  Numerator products with a
+one-term side, series products with a one-row operand and substitution
 with one row all take it.  Keys are int64 and every stored exponent lies
-in [-2^62, 2^62], so a sum of two cannot wrap unnoticed; ``key_rows`` reads
-a kernel's keys and ``check_keys`` the shortcut's, and both refuse any past
-that bound.
+in [-2^62, 2^62], so a sum of two cannot wrap unnoticed; ``check_block``
+reads a kernel's or a shifted block's keys and ``check_keys`` a list of
+exponent tuples, and both refuse any past that bound.
 
 The factor tables come from y^k mod the modulus for k <= 2n - 2, and each
 Frobenius from y^p by square-and-multiply, so their cost grows with log p,
@@ -82,7 +88,8 @@ class UndecidedError(ArithmeticError):
 # Exponents (series and t-monomial keys) are int64 in the product kernels.
 # Every stored exponent e has |e| <= EXP_BOUND, so a sum of two cannot leave
 # int64 unnoticed: the one sum that wraps, 2^63, reads -2^63, and
-# ``key_rows``, which reads every kernel result, refuses keys past the bound.
+# ``check_block``, which reads every kernel result and every shifted block,
+# refuses keys past the bound.
 EXP_BOUND = 2**62
 EXP_BOUND_TEXT = "exponents must lie in [-2^62, 2^62]"
 
@@ -101,12 +108,32 @@ def check_keys(rows):
         raise ValueError(f"exponent out of range: {EXP_BOUND_TEXT}")
 
 
-def key_rows(keys):
-    """A kernel's result keys as lists of ints, refused past EXP_BOUND (a
-    wrapped 2^63 reads -2^63)."""
-    rows = keys.tolist()
-    check_keys(rows)
-    return rows
+def rows_within(keys, vecs, bounds):
+    """The rows whose leading key entries lie within ``bounds`` (one bound
+    per leading entry, ``inf`` for none)."""
+    keep = None
+    for i, b in enumerate(bounds):
+        if b != math.inf:
+            below = keys[:, i] <= b
+            keep = below if keep is None else keep & below
+    if keep is None or np.count_nonzero(keep) == len(keep):
+        return keys, vecs
+    return keys[keep], vecs[keep]
+
+
+def nonzero_rows(keys, vecs):
+    """The rows whose vector is not zero."""
+    keep = vecs.any(axis=1)
+    if np.count_nonzero(keep) == len(keep):
+        return keys, vecs
+    return keys[keep], vecs[keep]
+
+
+def check_block(keys):
+    """Refuse an int64 key array with an entry past EXP_BOUND (a wrapped
+    2^63 reads -2^63)."""
+    if keys.size and (keys.max() > EXP_BOUND or keys.min() < -EXP_BOUND):
+        raise ValueError(f"exponent out of range: {EXP_BOUND_TEXT}")
 
 
 # the largest finite part, N = the product of the extension degrees: the
@@ -353,15 +380,18 @@ class CoefficientAlgebra:
         ``ka`` (na x K) and ``kb`` (nb x K) are int64 keys and ``va``
         (na x N) and ``vb`` (nb x N) reduced int64 vectors; pair (i, j) is
         the row ``(ka[i] + kb[j], va[i] * vb[j])``.  Pairs whose key exceeds
-        ``limit`` (a length-K array, ``inf`` for no bound) in some entry are
-        dropped.  Returns the surviving keys, each once, and their summed
-        vectors, reduced and nonzero; read the keys with ``key_rows``.
+        ``limit`` (bounds on the leading key entries, ``inf`` for none) in
+        some entry are dropped.  Returns the surviving keys, each once, and
+        their summed vectors, reduced and nonzero, in block order (see
+        ``_sum_per_key``); keys past EXP_BOUND are refused.
         """
         if len(ka) > len(kb):  # one left-multiplication matrix per row of
             ka, va, kb, vb = kb, vb, ka, va  # the shorter list
         prods = (vb @ self._left_maps(va) % self.p).reshape(-1, self.N)
         keys = (ka[:, None, :] + kb[None, :, :]).reshape(len(prods), -1)
-        return self._sum_per_key(keys, prods, limit)
+        keys, prods = self._sum_per_key(keys, prods, limit)
+        check_block(keys)
+        return keys, prods
 
     def combine_rows(self, kc, vc, km, vm, owner, limit=None):
         """A linear combination of row lists with row coefficients.
@@ -373,60 +403,53 @@ class CoefficientAlgebra:
         and its grouping with.
         """
         prods = np.einsum("tn,tnk->tk", vm, self._left_maps(vc)[owner]) % self.p
-        return self._sum_per_key(km + kc[owner], prods, limit)
+        keys, prods = self._sum_per_key(km + kc[owner], prods, limit)
+        check_block(keys)
+        return keys, prods
 
     def _left_maps(self, v):
         """The left-multiplication matrices ``x @ map mod p`` of v's rows."""
         return (v @ self._mul_map % self.p).reshape(len(v), self.N, self.N)
 
-    def row_times(self, nums, m0, v0):
-        """Each numerator ({t-monomial: vector}) of ``nums`` times the one
-        row v0 t^m0: its t-monomials shift by m0 and all its vectors, stacked
-        with those of the others, are multiplied by v0's left-multiplication
-        matrix in one matmul.  Returns the products in the order of
-        ``nums``, zero rows dropped; each vector is its own array, not a view
-        of the batch.  Shifted t-monomials past EXP_BOUND are refused."""
-        vecs = [v for num in nums for v in num.values()]
+    def row_times(self, vecs, v0):
+        """The vector or rows ``vecs`` times the vector v0: one matmul with
+        v0's left-multiplication matrix, and no keys (a one-row product
+        shifts its keys by the row's, which keeps them distinct)."""
         # ndarray.dot: on these small arrays its call costs less than @'s
         left = (v0.dot(self._mul_map) % self.p).reshape(self.N, self.N)
-        if len(vecs) == 1:  # a fresh vector, not a row of a batch
-            prods = [vecs[0].dot(left) % self.p]
-            nonzero = [prods[0].any()]
-        else:
-            batch = np.array(vecs).dot(left) % self.p
-            prods = [row.copy() for row in batch]
-            nonzero = batch.any(axis=1).tolist()
-        shift = any(m0)
-        out, i = [], 0
-        for num in nums:
-            prod = {}
-            for m in num:
-                if nonzero[i]:
-                    prod[tuple(map(operator.add, m, m0)) if shift else m] = prods[i]
-                i += 1
-            out.append(prod)
-        if shift:
-            check_keys([m for prod in out for m in prod])
-        return out
+        return vecs.dot(left) % self.p
 
     def _sum_per_key(self, keys, prods, limit):
         """Rows with equal keys summed once; rows past ``limit`` and zero
-        sums dropped."""
+        sums dropped.  The result is in block order: sorted by key,
+        lexicographically from the first entry."""
         if limit is not None:
-            keep = (keys <= limit).all(axis=1)
-            keys, prods = keys[keep], prods[keep]
+            keys, prods = rows_within(keys, prods, limit)
         if not len(keys):
             return keys, prods
         # sort the keys to group equal ones.  Each product is already below
         # p, so a group's sum of at most len(keys) of them is far below 2^63
-        order = np.lexsort(keys.T)
-        keys, prods = keys[order], prods[order]
-        new = np.ones(len(keys), dtype=bool)
-        np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
-        starts = np.flatnonzero(new)
-        keys, prods = keys[starts], np.add.reduceat(prods, starts) % self.p
-        keep = prods.any(axis=1)
-        return keys[keep], prods[keep]
+        if len(keys) <= 16:  # a few rows sort faster as lists
+            rows = keys.tolist()
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            starts, last = [], None
+            for k, i in enumerate(order):
+                if rows[i] != last:
+                    starts.append(k)
+                    last = rows[i]
+            order = np.array(order)
+            keys = keys.take(order, axis=0)
+        else:
+            order = np.lexsort(keys.T[::-1])
+            keys = keys.take(order, axis=0)
+            new = np.empty(len(keys), dtype=bool)
+            new[0] = True
+            np.logical_or.reduce(keys[1:] != keys[:-1], axis=1, out=new[1:])
+            starts = np.flatnonzero(new)
+        prods = prods.take(order, axis=0)
+        if len(starts) < len(keys):  # the products are reduced already
+            keys, prods = keys[starts], np.add.reduceat(prods, starts) % self.p
+        return nonzero_rows(keys, prods)
 
     def fd_inv(self, x):
         sol = gfp.solve(self.fd_mul_matrix(x), self.fd_one(), self.p)
@@ -705,11 +728,25 @@ def _num_mul(alg, a, b):
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
+    if len(a) == 1:  # a shift of b's t-monomials and one matmul
         ((m0, v0),) = a.items()
-        return alg.row_times([b], m0, v0)[0]
+        shift = any(m0)
+        if len(b) == 1:  # a fresh vector, not a row of a batch
+            prods = [alg.row_times(*b.values(), v0)]
+            nonzero = [prods[0].any()]
+        else:
+            batch = alg.row_times(np.array(list(b.values())), v0)
+            prods, nonzero = [row.copy() for row in batch], batch.any(axis=1).tolist()
+        out = {
+            tuple(map(operator.add, m, m0)) if shift else m: v
+            for m, v, keep in zip(b, prods, nonzero)
+            if keep
+        }
+        if shift:
+            check_keys(list(out))
+        return out
     keys, vecs = alg.mul_rows(*_num_rows(alg, a), *_num_rows(alg, b))
-    return {tuple(k): v.copy() for k, v in zip(key_rows(keys), vecs)}
+    return {tuple(k): v.copy() for k, v in zip(keys.tolist(), vecs)}
 
 
 def _num_scale_fd(alg, a, vec):

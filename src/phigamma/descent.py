@@ -320,14 +320,13 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
     q0 = c0.constant_fd() if c0.is_constant() else None
     if q0 is None:
         return None, "nonconstant corner coefficient"
-    if np.array_equal(q0 % p, alg.fd_one()):
-        r0 = alg.fd_one()
-    else:
+    r0 = None  # r0 = 1 when q0 = 1, and then neither scale below is made
+    scaled = q
+    if not np.array_equal(q0 % p, alg.fd_one()):
         r0, note = _fd_eth_root(alg, q0, e)
         if r0 is None:
             return None, note
-    r0inv = alg.fd_inv(r0)
-    scaled = q.scale(alg.from_fdelta(alg.fd_pow(r0inv, e)))
+        scaled = q.scale(alg.from_fdelta(alg.fd_pow(alg.fd_inv(r0), e)))
     h = scaled - ring.one()
     if h.support and min(sum(x) for x in h.support) < 1:
         return None, "principal part not congruent to 1"
@@ -337,7 +336,8 @@ def _eth_root(ring: SeriesRingSpec, q: LaurentElement, e: int):
     w = ring.one()
     if h.support:
         w = scaled ** pow(e, -1, p ** digits_for_window(p, max(ring.precision)))
-    w = w.scale(alg.from_fdelta(r0))
+    if r0 is not None:
+        w = w.scale(alg.from_fdelta(r0))
     if lead is not None:
         w = w.monomial_shift(lead)
     if (w**e).eq_window(target):

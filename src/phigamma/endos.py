@@ -12,29 +12,33 @@ The generator actions implemented:
     gamma_alpha(c):   X_alpha -> (1+X_alpha)^c - 1, coefficients fixed
     delta_{alpha,b}:  t_{alpha,i} -> (1+X_alpha)^{b_i} t_{alpha,i}, rest fixed
 
-Application is substitution in at most one kernel call.  Each t-row
-(t^m, vector) of each input term c X^e becomes a constant row: the
-Frobenius of the vector, keyed by t^(m p^e) and by the exponents of the
-key-mapped variables.  A variable is key-mapped when its image is exactly
-X_alpha^k (coefficient 1, exact, no poles), as under phi_alpha, phi_s,
-their composites and the identity: its exponent e becomes the key entry
-k e, a key map and not a product, refused past EXP_BOUND.  A row's
-multiplier is the product of the twist powers of t^m and the image powers
-of the other (moved) variables, cached on the endomorphism for the keys
-the inputs use.  ``CoefficientAlgebra.combine_rows`` makes every
-row-times-multiplier product in one batch and sums equal keys once.  Two
-cases need no kernel: when no row has a multiplier (every variable of
-every term key-mapped, no twist), each row is its own image under a
-distinct key; and a single row times its multiplier is a series product
-with a one-row operand (``series._row_times``).  The window, pole bound
-and pole set are folded from metadata alone, in the order of the
-term-by-term substitution: the sum rule over a coefficient's t-rows, the
-product rule over the variable powers in variable order, the sum rule over
-the terms and the input window.  Both rules are monotone, so each
-multiplier is exact on its part of the folded window and the values there
-are those of the term-by-term sum.  Coefficients with a denominator have
-no rows; their images are made by series products and added into the
-result.
+Application is substitution in at most one kernel call, on the input's row
+block (see series.py): each row (key (e, m), vector) becomes a constant
+row: the Frobenius of the vector, keyed by t^(m p^e) and by the exponents
+of the key-mapped variables, all rows in one array operation.  A variable
+is key-mapped when its image is exactly X_alpha^k (coefficient 1, exact, no
+poles), as under phi_alpha, phi_s, their composites and the identity: its
+exponent e becomes the key entry k e, a key map and not a product, refused
+past EXP_BOUND.  A row's multiplier is the product of the twist powers of
+t^m and the image powers of the other (moved) variables, cached on the
+endomorphism as a row block for the keys the inputs use.
+``CoefficientAlgebra.combine_rows`` makes every row-times-multiplier
+product in one batch and sums equal keys once, and its output is the
+image's row block.  Two cases need no kernel: when no row has a multiplier
+(every variable of every term key-mapped, no twist), each row is its own
+image under a distinct key, in block order still; and a single row times
+its multiplier is a series product with a one-row operand
+(``series._row_times``).  The window, pole bound and pole set are folded
+from metadata alone, in the order of the term-by-term substitution: the sum
+rule over a coefficient's t-rows, the product rule over the variable powers
+in variable order, the sum rule over the terms and the input window.  Both
+rules are monotone, so each multiplier is exact on its part of the folded
+window and the values there are those of the term-by-term sum.
+Coefficients with a denominator have no rows (their series keep the dict
+form); their images are made by series products and added into the result,
+which is then a dict as well unless every denominator is gone.  No
+``CoeffElement`` is built for a block's rows: the read-only ``support``
+view of a result is built only when it is read.
 
 Composition is available in closed form, and formal words in the generators
 support a small textual syntax for the command line, e.g.
@@ -58,14 +62,17 @@ from .coeff import (
     UndecidedError,
     check_exponent,
     check_keys,
+    rows_within,
 )
 from .series import (
     INF,
     LaurentElement,
     PAdicUnitApprox,
     SeriesRingSpec,
+    _add_terms,
+    _pack,
     _row_times,
-    _support_from_rows,
+    _support_view,
     binomial_power,
     digits_for_window,
     product_meta,
@@ -83,7 +90,7 @@ class RingEndo:
             # with no term on a window that is finite in X_alpha alone, every
             # term has X_alpha-exponent past the window, which is all this
             # check needs; val() would ask for the exact valuation and raise
-            past_window = not img.support and all(
+            past_window = not img._has_terms() and all(
                 w == INF for i, w in enumerate(img.window) if i != alpha
             )
             low = img.window[alpha] < 0 if past_window else img.val(alpha) < 1
@@ -92,8 +99,7 @@ class RingEndo:
                     f"image of {ring.variables[alpha]} must have valuation >= 1"
                 )
         self._pow_cache = {}
-        self._mono_cache = {}
-        self._mult_cache = {}  # (twisted t-exponents, moved exponents) -> rows
+        self._mult_cache = {}  # masked key (see _multiplier) -> rows, series
         self._meta_cache = {}
 
     @functools.cached_property
@@ -105,17 +111,42 @@ class RingEndo:
             _monomial_exponent(img, alpha) for alpha, img in enumerate(self.var_images)
         )
 
-    def _image_mono(self, mono):
-        """The t-exponents of the image of t^mono: each times p^e, e the
-        Frobenius exponent of its factor; cached, refused past EXP_BOUND."""
-        out = self._mono_cache.get(mono)
-        if out is None:
-            alg = self.ring.coeffs
-            out = tuple(m * alg.p ** self.frob_exps[a] for m, a in zip(mono, alg.t_owner))
-            if out and max(out) > EXP_BOUND:
-                check_exponent(max(out))
-            self._mono_cache[mono] = out
-        return out
+    @functools.cached_property
+    def _key_scale(self):
+        """(per key entry, the factor of the image key; the largest entry
+        that no factor sends past EXP_BOUND, None when no factor exceeds 1;
+        the factors as an array, None when all are 1).  A key-mapped
+        variable's exponent e maps to k e, a moved variable's to 0 (its
+        image is a multiplier), and a t-exponent m to m p^e, e the Frobenius
+        exponent of its factor."""
+        alg = self.ring.coeffs
+        scale = self._fixed + tuple(alg.p ** self.frob_exps[a] for a in alg.t_owner)
+        # a factor past EXP_BOUND meets only zero exponents (others are refused)
+        factors = None
+        if any(s != 1 for s in scale):
+            factors = np.array([min(s, EXP_BOUND) for s in scale], dtype=np.int64)
+        safe = EXP_BOUND // max(scale) if max(scale) > 1 else None
+        return scale, safe, factors
+
+    @functools.cached_property
+    def _mult_mask(self):
+        """0/1 per key entry: 1 for a moved variable and a twisted
+        t-symbol, whose exponents choose a row's multiplier; None when
+        no row has one."""
+        alg = self.ring.coeffs
+        mask = [0 if k else 1 for k in self._fixed] + [
+            1 if (alg.t_owner[k], k) in self.twists else 0 for k in range(alg.total_d)
+        ]
+        return np.array(mask, dtype=np.int64) if any(mask) else None
+
+    @functools.cached_property
+    def _one_block(self):
+        """The rows of the multiplier 1: the zero key and the unit vector."""
+        alg = self.ring.coeffs
+        return (
+            np.zeros((1, self.ring.nvars + alg.total_d), dtype=np.int64),
+            alg.fd_one()[None, :],
+        )
 
     # -- generator images ----------------------------------------------
 
@@ -162,29 +193,24 @@ class RingEndo:
             self._pow_cache[key] = mult
         return mult
 
-    def _multiplier(self, tw, moved):
-        """(rows, element) of the series that the terms X^moved t^mono with
-        twisted t-exponents ``tw`` are multiplied by (tw or moved nonzero):
-        the twist product times the moved variables' image powers in
-        variable order; rows is None when a coefficient has a denominator.
-        Cached per endomorphism, for the keys the inputs have used."""
-        key = (tw, moved)
-        cached = self._mult_cache.get(key)
+    def _multiplier(self, mkey):
+        """(rows, element) of the series that the rows with masked key
+        ``mkey`` (the exponents of the moved variables, then the twisted
+        t-exponents; not all zero) are multiplied by: the twist product
+        times the moved variables' image powers in variable order; rows is
+        None when a coefficient has a denominator.  Cached per endomorphism,
+        for the keys the inputs have used."""
+        cached = self._mult_cache.get(mkey)
         if cached is None:
-            mult = self._twist_power(tw) if tw else None
-            for alpha, e in enumerate(moved):
+            nv = self.ring.nvars
+            tw = mkey[nv:]
+            mult = self._twist_power(tw) if any(tw) else None
+            for alpha, e in enumerate(mkey[:nv]):
                 if e:
                     power_ = self._var_power(alpha, e)
                     mult = power_ if mult is None else mult * power_
-            alg = self.ring.coeffs
-            rows = mult._rows()
-            if rows is not None:
-                keys, vecs = rows
-                rows = (
-                    keys.reshape(len(keys), self.ring.nvars + alg.total_d),
-                    vecs.reshape(len(keys), alg.N),
-                )
-            cached = self._mult_cache[key] = (rows, mult)
+            rows = None if mult.keys is None else (mult.keys, mult.vecs)
+            cached = self._mult_cache[mkey] = (rows, mult)
         return cached
 
     def _frobenius(self, vecs):
@@ -229,10 +255,10 @@ class RingEndo:
         alg = ring.coeffs
         zero = (0,) * ring.nvars
         exact = (INF,) * ring.nvars
-        out = self._substitute([(zero, CoeffElement(alg, c.num, ()))], exact)
+        out = self._substitute(*_pack(ring, [(zero, c.num)]), exact)
         for beta, poly in c.den:
             num = {mono: (alg.fd_one() * coeff) % alg.p for mono, coeff in poly}
-            img = self._substitute([(zero, CoeffElement(alg, num, ()))], exact)
+            img = self._substitute(*_pack(ring, [(zero, num)]), exact)
             inv = img.try_invert()
             if inv is None:
                 raise UndecidedError(
@@ -248,120 +274,104 @@ class RingEndo:
         # precision: substitution maps the unknown tail of a into terms of
         # valuation >= window + 1 in each variable (images preserve the
         # filtration), so a's window survives pessimistically
-        return self._substitute(a.support.items(), a.window)
+        if a.keys is not None:
+            return self._substitute(a.keys, a.vecs, a.window)
+        rows = [(e, c.num) for e, c in a.support.items() if not c.den]
+        fractions = [(e, c) for e, c in a.support.items() if c.den]
+        return self._substitute(*_pack(self.ring, rows), a.window, fractions)
 
-    def _substitute(self, terms, window):
-        """The image of the sum of ``terms`` ((exponents, coefficient)
-        pairs), truncated to ``window``: at most one ``combine_rows`` call
-        for the rows, the metadata folded as the module docstring says.  A
+    def _substitute(self, keys, vecs, window, fractions=()):
+        """The image of the row block ``(keys, vecs)`` plus the terms
+        ``fractions`` ((exponents, coefficient with a denominator) pairs),
+        truncated to ``window``: at most one ``combine_rows`` call for the
+        rows, the metadata folded as the module docstring says.  A
         coefficient with a denominator, in a term or in a multiplier, has
         no rows: its images are made by series products, as a sum of
-        fractions needs, and added into the support."""
+        fractions needs, and added into the result."""
         ring = self.ring
         alg = ring.coeffs
         nv = ring.nvars
         constant = ((INF,) * nv, 0, frozenset())
         metas = [(tuple(window), 0, frozenset())]
-        rows = []  # (key-mapped X-exponents, image t-monomial, vector, multiplier)
-        fractions = []
-        twisted = [(alg.t_owner[k], k) in self.twists for k in range(alg.total_d)]
-        scaled = alg.total_d and any(self.frob_exps)
-        stretched = any(k > 1 for k in self._fixed)
-        for exps, c in terms:
-            if c.den:
-                term = self.apply_coeff(c)
-                for alpha, e in enumerate(exps):
-                    if e:
-                        term = term * self._var_power(alpha, e)
-                metas.append(term.meta())
-                fractions.append(term.support)
+        parts = []  # images made by series products: (exponents, coefficient)
+        for exps, c in fractions:
+            term = self.apply_coeff(c)
+            for alpha, e in enumerate(exps):
+                if e:
+                    term = term * self._var_power(alpha, e)
+            metas.append(term.meta())
+            parts.extend(term.support.items())
+        kc = self._image_keys(keys)
+        vc = self._frobenius(vecs)
+        # per row its multiplier's rows (None for 1), and per term (the
+        # rows of one X-exponent, adjacent in block order) its metadata
+        mask = self._mult_mask
+        masked = None if mask is None else (keys * mask).tolist()
+        blocks, dropped = [], []
+        # cmetas: of the twisted rows; the others' is the sum's identity
+        last, cmetas = None, []
+        for i, key in enumerate(keys.tolist()):
+            exps = key[:nv]
+            if exps != last:
+                if last is not None:
+                    cmeta = _coeff_meta(ring, cmetas, constant)
+                    metas.append(self._term_meta(cmeta, tuple(last)))
+                last, cmetas = exps, []
+            if masked is None or not any(masked[i]):
+                blocks.append(None)
                 continue
-            moved = tuple(0 if k else e for e, k in zip(exps, self._fixed))
-            shift = tuple(k * e for e, k in zip(exps, self._fixed))
-            if stretched:
-                check_keys([shift])
-            moves = any(moved)
-            cmetas = []  # of the twisted rows: the others' is the sum's identity
-            for mono, vec in c.num.items():
-                tw = ()
-                if self.twists:
-                    tw = tuple(m if t else 0 for m, t in zip(mono, twisted))
-                    if any(tw):
-                        cmetas.append(self._twist_power(tw).meta())
-                    else:
-                        tw = ()
-                mult = None  # the multiplier 1; else (its rows, the series)
-                if tw or moves:
-                    mult = self._multiplier(tw, moved)
-                    if mult[0] is None:  # a multiplier coefficient with a denominator
-                        fractions.append(_row_times(
-                            ring, mult[1].support, shift, self._image_mono(mono),
-                            self._frobenius(vec[None, :])[0], (INF,) * nv,
-                        ))
-                        continue
-                rows.append((shift, self._image_mono(mono) if scaled else mono, vec, mult))
-            cmeta = constant if not cmetas else (
-                cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
-            )
-            metas.append(self._term_meta(cmeta, tuple(exps)))
+            mkey = tuple(masked[i])
+            if any(mkey[nv:]):
+                cmetas.append(self._twist_power(mkey[nv:]).meta())
+            rows, mult = self._multiplier(mkey)
+            if rows is None:  # a multiplier coefficient with a denominator
+                dropped.append(i)
+                parts.extend(_fraction_row(ring, mult, kc[i], vc[i]).items())
+                continue
+            blocks.append(rows)
+        if last is not None:
+            cmeta = _coeff_meta(ring, cmetas, constant)
+            metas.append(self._term_meta(cmeta, tuple(last)))
         out_window, pole_bound, pole_set = sum_meta(ring, metas)
-        support = {}
-        if all(mult is None for *_, mult in rows):
-            support = self._own_images(rows, out_window)
-        elif len(rows) == 1:
-            ((shift, mono, vec, (_, mult)),) = rows
-            support = _row_times(
-                ring, mult.support, shift, mono, self._frobenius(vec[None, :])[0],
-                out_window,
-            )
+        if dropped:
+            keep = np.ones(len(kc), dtype=bool)
+            keep[dropped] = False
+            kc, vc = kc[keep], vc[keep]
+        if all(rows is None for rows in blocks):
+            kc, vc = rows_within(kc, vc, out_window)  # each row is its own image
+        elif len(blocks) == 1:
+            kc, vc = _row_times(ring, *blocks[0], kc[0], vc[0], out_window)
         else:
-            kc = np.array([shift + mono for shift, mono, _, _ in rows], dtype=np.int64)
-            vc = self._frobenius(np.array([vec for _, _, vec, _ in rows]))
-            one = (
-                np.zeros((1, nv + alg.total_d), dtype=np.int64), alg.fd_one()[None, :]
-            )
-            blocks = [one if mult is None else mult[0] for *_, mult in rows]
+            blocks = [self._one_block if rows is None else rows for rows in blocks]
             km = np.concatenate([k for k, _ in blocks])
             vm = np.concatenate([v for _, v in blocks])
             owner = np.repeat(np.arange(len(blocks)), [len(k) for k, _ in blocks])
-            limit = None
-            if any(w != INF for w in out_window):
-                limit = np.array(out_window + (INF,) * alg.total_d)
-            keys, vecs = alg.combine_rows(kc, vc, km, vm, owner, limit)
-            support = _support_from_rows(ring, keys, vecs)
-        finite = [(i, w) for i, w in enumerate(out_window) if w != INF]
-        for part in fractions:
-            for e, c in part.items():
-                if any(e[i] > w for i, w in finite):
-                    continue
-                cur = support.get(e)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    support.pop(e, None)
-                else:
-                    support[e] = s
-        return LaurentElement._trusted(
-            ring, support, pole_bound, out_window, pole_set, clipped=True
+            kc, vc = alg.combine_rows(kc, vc, km, vm, owner, out_window)
+        if parts:
+            support = _add_terms(dict(_support_view(ring, kc, vc)), parts)
+            return LaurentElement._from_support(
+                ring, support, pole_bound, out_window, pole_set
+            )
+        return LaurentElement._from_rows(
+            ring, kc, vc, pole_bound, out_window, pole_set, clipped=True
         )
 
-    def _own_images(self, rows, window):
-        """The support of rows that have no multiplier, cut to ``window``:
-        each row is its own image.  Such a row's term has exponents only in
-        key-mapped variables, and e -> k e is injective for k >= 1, so rows
-        of distinct terms have distinct keys and nothing is summed."""
-        alg = self.ring.coeffs
-        finite = [(i, w) for i, w in enumerate(window) if w != INF]
-        kept = [row for row in rows if not any(row[0][i] > w for i, w in finite)]
-        vecs = [vec for _, _, vec, _ in kept]
-        if kept and any(e % n for e, n in zip(self.frob_exps, alg.degrees)):
-            vecs = [v.copy() for v in self._frobenius(np.array(vecs))]
-        nums = {}
-        for (shift, mono, _, _), vec in zip(kept, vecs):
-            num = nums.get(shift)
-            if num is None:
-                nums[shift] = num = {}
-            num[mono] = vec
-        return {e: CoeffElement(alg, num, ()) for e, num in nums.items()}
+    def _image_keys(self, keys):
+        """The rows' image keys (see ``_key_scale``).  Each row of one term
+        has its own image under a key-mapped variable's e -> k e, and rows
+        without a multiplier keep distinct keys in block order, since every
+        factor is positive or meets only zero exponents.  Image exponents
+        past EXP_BOUND are refused, as the term-by-term substitution refuses
+        them."""
+        scale, safe, factors = self._key_scale
+        if safe is not None and len(keys) and (keys.max() > safe or keys.min() < -safe):
+            nv = self.ring.nvars
+            for key in keys.tolist():
+                check_keys([[e * k for e, k in zip(key[:nv], scale)]])
+                image = [m * s for m, s in zip(key[nv:], scale[nv:])]
+                if image and max(image) > EXP_BOUND:
+                    check_exponent(max(image))
+        return keys if factors is None else keys * factors
 
     # -- composition ---------------------------------------------------
 
@@ -383,11 +393,10 @@ class RingEndo:
             u_s = self.twists.get((alpha, k))
             if u_t is None and u_s is None:
                 continue
-            u = ring.one()
-            if u_t is not None:
-                u = u * self.apply(u_t)
+            u = None if u_t is None else self.apply(u_t)
             if u_s is not None:
-                u = u * u_s ** (p ** other.frob_exps[alpha])
+                power_ = u_s ** (p ** other.frob_exps[alpha])
+                u = power_ if u is None else u * power_
             twists[(alpha, k)] = u
         return RingEndo(ring, var_images, frob_exps, twists)
 
@@ -401,16 +410,40 @@ class RingEndo:
 def _monomial_exponent(img, alpha):
     """k when ``img`` is exactly X_alpha^k (coefficient 1, exact, no
     poles), else 0."""
-    if len(img.support) != 1 or img.pole_bound:
+    row = img._one_row()
+    if row is None or img.pole_bound or any(w != INF for w in img.window):
         return 0
-    ((exps, c),) = img.support.items()
-    if any(exps[:alpha]) or any(exps[alpha + 1:]) or c.den or len(c.num) != 1:
-        return 0
-    ((mono, vec),) = c.num.items()
+    exps, mono, vec = row
     one = vec.tolist()
-    if any(mono) or one[0] != 1 or any(one[1:]) or any(w != INF for w in img.window):
+    if any(exps[:alpha]) or any(exps[alpha + 1:]) or any(mono):
+        return 0
+    if one[0] != 1 or any(one[1:]):
         return 0
     return exps[alpha]
+
+
+def _coeff_meta(ring, cmetas, constant):
+    """The metadata of a coefficient's image: the sum rule over its
+    twisted rows' twist powers, the constant's when it has none."""
+    if not cmetas:
+        return constant
+    return cmetas[0] if len(cmetas) == 1 else sum_meta(ring, cmetas)
+
+
+def _fraction_row(ring, mult, key, vec):
+    """The multiplier ``mult``, which has a coefficient with a
+    denominator, times the one row (key, vec), term by term, as
+    {X-exponents: CoeffElement}; exponents past EXP_BOUND are refused."""
+    nv = ring.nvars
+    key = key.tolist()
+    row = CoeffElement(ring.coeffs, {tuple(key[nv:]): vec}, ())
+    part = {}
+    for e, c in mult.support.items():
+        prod = c * row
+        if not prod.is_zero():
+            part[tuple(map(operator.add, e, key[:nv]))] = prod
+    check_keys(list(part))
+    return part
 
 
 # ---------------------------------------------------------------------------

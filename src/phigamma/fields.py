@@ -30,15 +30,17 @@ def is_prime(n: int) -> bool:
 
 
 def power(x, n: int, one, mul):
-    """x^n for n >= 0 by square-and-multiply: ``one`` is the unit and
-    ``mul`` the product of whatever ring x lives in."""
-    out = one
-    while n:
-        if n & 1:
+    """x^n for n >= 0 by square-and-multiply from the top bit of n: ``one``
+    (returned for n = 0) is the unit and ``mul`` the product of whatever
+    ring x lives in.  No product has ``one`` as an operand, so x^n takes
+    (bits of n - 1) squarings and (set bits of n - 1) products by x."""
+    if not n:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, x)
-        n >>= 1
-        if n:
-            x = mul(x, x)
     return out
 
 

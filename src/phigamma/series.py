@@ -12,26 +12,39 @@ window of ``math.inf`` marks an exact (polynomial) element.  All precision
 propagation is pessimistic; a question that the window cannot settle raises
 ``PrecisionError`` or returns the verdict "undecided" rather than guessing.
 
-A product of two series is one call of the coefficient kernel
-``CoefficientAlgebra.mul_rows``: every term of every coefficient becomes a
-row keyed by its X-exponents followed by its t-exponents, so all pair
-products, the window cut and the sums per exponent happen in one batch.
-When one operand is a single row (one term, one t-monomial, no
-denominator), such as a monomial or a constant, the product is a shift
-and a scale instead: the other operand's X-exponents shift by the row's,
-and all its coefficients go through ``CoefficientAlgebra.row_times``, one
-matmul with the row's left-multiplication matrix.  No keys are grouped,
-because the shifted keys stay distinct.
+An element stores its terms as one row block: every term c X^e of every
+coefficient c = sum of v t^m is a row, with the int64 key (e, m) (the
+X-exponents, then the t-exponents) in ``keys`` (K x (nvars + total_d)) and
+the reduced finite-part vector v in ``vecs`` (K x N).  The rows are unique
+and nonzero, lie in the window, and are in block order: sorted by key,
+lexicographically from the first entry, which is the order the kernels'
+``_sum_per_key`` returns.  Every ring operation reads and writes blocks:
+a product of two series is one ``CoefficientAlgebra.mul_rows`` call, so
+all pair products, the window cut and the sums per key happen in one batch;
+a sum merges the two blocks (joined when one precedes the other, a single
+row added or inserted in place, otherwise one grouping by key); and when
+one operand is a single row (a monomial or a constant), the product is a
+shift and a scale instead: the other block's keys shift by the row's,
+which keeps their order, and its vectors go through
+``CoefficientAlgebra.row_times``, one matmul with the row's
+left-multiplication matrix.  An element with a
+coefficient that has a denominator (a fraction) keeps the dict
+{X-exponents: CoeffElement} instead, with ``keys`` and ``vecs`` None, and
+its products and sums go term by term, since fractions add over a common
+denominator.  ``support`` is the public read API: that dict, read-only,
+built on the first read for a row block and kept.
 Results of the ring operations are built without the public constructor's
-checks (their supports are nonzero and their poles lie in the pole set by
+checks (their rows are nonzero and their poles lie in the pole set by
 construction); the window is still clipped and terms beyond it dropped.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,11 +53,13 @@ from .coeff import (
     CoeffElement,
     CoefficientAlgebra,
     NotInvertibleError,
+    check_block,
     check_exponent,
     check_keys,
     element_from_json,
     element_to_json,
-    key_rows,
+    nonzero_rows,
+    rows_within,
 )
 from .fields import power
 
@@ -117,7 +132,9 @@ class SeriesRingSpec:
     # -- constructors --------------------------------------------------
 
     def zero(self):
-        return LaurentElement(self, {}, 0, (INF,) * self.nvars)
+        return LaurentElement._from_rows(
+            self, *_no_rows(self), 0, (INF,) * self.nvars, frozenset(), clipped=True
+        )
 
     def one(self):
         return self.constant(self.coeffs.one())
@@ -127,19 +144,32 @@ class SeriesRingSpec:
             c = self.coeffs.from_int(c)
         if c.is_zero():
             return self.zero()
-        return LaurentElement(self, {(0,) * self.nvars: c}, 0, (INF,) * self.nvars)
+        exact = (INF,) * self.nvars
+        return LaurentElement._from_support(
+            self, {(0,) * self.nvars: c}, 0, exact, frozenset(), clipped=True
+        )
 
     def monomial(self, exps, coeff=None):
         exps = tuple(exps)
-        coeff = self.coeffs.one() if coeff is None else coeff
         if isinstance(coeff, int):
             coeff = self.coeffs.from_int(coeff)
-        if coeff.is_zero():
+        if coeff is not None and coeff.is_zero():
             return self.zero()
         m = max(0, -min(exps))
+        if m > EXP_BOUND:
+            check_exponent(m)
+        if max(exps) > EXP_BOUND:
+            check_exponent(max(exps))
         pole_set = frozenset(i for i, e in enumerate(exps) if e < 0)
-        return LaurentElement(
-            self, {exps: coeff}, m, (INF,) * self.nvars, pole_set
+        exact = (INF,) * self.nvars
+        if coeff is None:  # the row X^exps with the coefficient 1
+            keys = np.array([exps + (0,) * self.coeffs.total_d], dtype=np.int64)
+            vecs = self.coeffs.fd_one()[None, :]
+            return LaurentElement._from_rows(
+                self, keys, vecs, m, exact, pole_set, clipped=True
+            )
+        return LaurentElement._from_support(
+            self, {exps: coeff}, m, exact, pole_set, clipped=True
         )
 
     def var(self, alpha):
@@ -187,7 +217,7 @@ def product_meta(ring, a, b):
 
 def sum_meta(ring, metas):
     """The (window, pole bound, pole set) of a sum of elements with the given
-    metadata, added in any order (``__add__`` and ``_trusted``): the least
+    metadata, added in any order (``__add__`` and substitution): the least
     window clipped to the caps less the largest pole bound."""
     windows, bounds, sets = zip(*metas)
     pole_bound = max(bounds)
@@ -199,7 +229,17 @@ def sum_meta(ring, metas):
 
 
 class LaurentElement:
-    __slots__ = ("ring", "support", "pole_bound", "window", "pole_set")
+    """A truncated Laurent series: its terms, window, pole bound and pole set.
+
+    The terms of an element whose coefficients have no denominator are one
+    row block, ``keys`` and ``vecs`` (see the module docstring).  An element
+    with a fraction coefficient keeps the dict {X-exponents: CoeffElement}
+    instead, and its ``keys`` and ``vecs`` are None.  ``support`` reads the
+    terms as that dict, read-only; for a row block it is built on first
+    read and kept.
+    """
+
+    __slots__ = ("ring", "pole_bound", "window", "pole_set", "keys", "vecs", "_support")
 
     def __init__(self, ring, support, pole_bound, window, pole_set=frozenset()):
         self.ring = ring
@@ -225,16 +265,44 @@ class LaurentElement:
                             f"negative exponent in {ring.variables[i]} outside pole set"
                         )
             clean[exps] = c
-        self.support = clean
         self.window = window
+        self._store(clean)
+
+    def _store(self, support):
+        """Keep ``support`` ({X-exponents: nonzero CoeffElement}) as a row
+        block, or as it is when a coefficient has a denominator."""
+        if any(c.den for c in support.values()):
+            self.keys = self.vecs = None
+            self._support = MappingProxyType(support)
+        else:
+            self.keys, self.vecs = _pack(
+                self.ring, [(e, c.num) for e, c in support.items()]
+            )
+            self._support = None
 
     @classmethod
-    def _trusted(cls, ring, support, pole_bound, window, pole_set, clipped=False):
-        """A result of the ring operations, built without the checks above:
-        no zero coefficients, and negative exponents only in ``pole_set``
-        and above ``-pole_bound``.  The window is clipped as above and the
-        terms beyond it are dropped, unless ``clipped`` says that the caller
-        has done both."""
+    def _from_rows(cls, ring, keys, vecs, pole_bound, window, pole_set, clipped=False):
+        """A result of the ring operations as a row block, built without the
+        checks above: unique nonzero rows in block order, and negative
+        exponents only in ``pole_set`` and above ``-pole_bound``.  The window
+        is clipped as above and the rows beyond it are dropped, unless
+        ``clipped`` says that the caller has done both."""
+        el = cls.__new__(cls)
+        el.ring = ring
+        el.pole_bound = pole_bound
+        el.pole_set = pole_set
+        if not clipped:
+            window = _clip(ring, window, pole_bound)
+            keys, vecs = rows_within(keys, vecs, window)
+        el.window = window
+        el.keys, el.vecs, el._support = keys, vecs, None
+        return el
+
+    @classmethod
+    def _from_support(cls, ring, support, pole_bound, window, pole_set, clipped=False):
+        """As ``_from_rows``, from a dict {X-exponents: nonzero
+        CoeffElement}; stored as a row block when no coefficient has a
+        denominator."""
         el = cls.__new__(cls)
         el.ring = ring
         el.pole_bound = pole_bound
@@ -249,8 +317,16 @@ class LaurentElement:
                     if all(e[i] <= w for i, w in finite)
                 }
         el.window = window
-        el.support = support
+        el._store(support)
         return el
+
+    @property
+    def support(self):
+        """The terms as a read-only dict {X-exponents: CoeffElement}."""
+        support = self._support
+        if support is None:
+            support = self._support = _support_view(self.ring, self.keys, self.vecs)
+        return support
 
     # -- inspection ----------------------------------------------------
 
@@ -261,9 +337,13 @@ class LaurentElement:
     def is_exact(self):
         return all(w == INF for w in self.window)
 
+    def _has_terms(self):
+        # an element in dict form has a fraction coefficient, so a term
+        return self.keys is None or len(self.keys) > 0
+
     def is_zero(self):
         """Certified zero; raises when precision cannot settle it."""
-        if self.support:
+        if self._has_terms():
             return False
         if self.is_exact():
             return True
@@ -278,30 +358,45 @@ class LaurentElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._require_ring(other)
-        window = tuple(min(a, b) for a, b in zip(self.window, other.window))
-        support = dict(self.support)
-        for e, c in other.support.items():
-            cur = support.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                support.pop(e, None)
-            else:
-                support[e] = s
-        return LaurentElement._trusted(
-            self.ring,
-            support,
-            max(self.pole_bound, other.pole_bound),
-            window,
-            self.pole_set | other.pole_set,
+        ring = self.ring
+        window = tuple(map(min, self.window, other.window))
+        pole_bound = max(self.pole_bound, other.pole_bound)
+        pole_set = self.pole_set | other.pole_set
+        if self.keys is None or other.keys is None:
+            support = _add_terms(dict(self.support), other.support.items())
+            return LaurentElement._from_support(
+                ring, support, pole_bound, window, pole_set
+            )
+        window = _clip(ring, window, pole_bound)
+        (ka, va), (kb, vb) = _rows_in(self, window), _rows_in(other, window)
+        if len(ka) < len(kb):
+            (ka, va), (kb, vb) = (kb, vb), (ka, va)
+        if not len(kb):
+            keys, vecs = ka, va
+        elif kb[-1].tolist() < ka[0].tolist():
+            keys, vecs = np.concatenate((kb, ka)), np.concatenate((vb, va))
+        elif ka[-1].tolist() < kb[0].tolist():
+            keys, vecs = np.concatenate((ka, kb)), np.concatenate((va, vb))
+        elif len(kb) == 1:
+            keys, vecs = _add_row(ring.coeffs.p, ka, va, kb, vb)
+        else:
+            keys, vecs = ring.coeffs._sum_per_key(
+                np.concatenate((ka, kb)), np.concatenate((va, vb)), None
+            )
+        return LaurentElement._from_rows(
+            ring, keys, vecs, pole_bound, window, pole_set, clipped=True
         )
 
     def __neg__(self):
-        return LaurentElement._trusted(
-            self.ring,
-            {e: -c for e, c in self.support.items()},
-            self.pole_bound,
-            self.window,
-            self.pole_set,
+        ring = self.ring
+        if self.keys is None:
+            return LaurentElement._from_support(
+                ring, {e: -c for e, c in self.support.items()},
+                self.pole_bound, self.window, self.pole_set, clipped=True,
+            )
+        return LaurentElement._from_rows(
+            ring, self.keys, -self.vecs % ring.coeffs.p,
+            self.pole_bound, self.window, self.pole_set, clipped=True,
         )
 
     def __sub__(self, other):
@@ -314,26 +409,27 @@ class LaurentElement:
 
     def _times(self, other):
         ring = self.ring
-        # the window is clipped here, not in _trusted, because the products
-        # below stop at it, so the result needs no second pass over its terms
+        # the window is clipped here, not in _from_rows, because the
+        # products below stop at it, so the result needs no second pass
         window, pole_bound, pole_set = product_meta(ring, self.meta(), other.meta())
-        support = {}
-        if self.support and other.support:
-            row, rest = other._one_row(), self
-            if row is None:
-                row, rest = self._one_row(), other
-            if row is not None:
-                support = _row_times(ring, rest.support, *row, window)
-            elif (rows_a := self._rows()) is None or (rows_b := other._rows()) is None:
-                support = self._pair_products(other, window)
-            else:
-                limit = None
-                if any(w != INF for w in window):
-                    limit = np.array(window + (INF,) * ring.coeffs.total_d)
-                keys, vecs = ring.coeffs.mul_rows(*rows_a, *rows_b, limit)
-                support = _support_from_rows(ring, keys, vecs)
-        return LaurentElement._trusted(
-            ring, support, pole_bound, window, pole_set, clipped=True
+        a, b = self.keys, other.keys
+        if a is None or b is None:
+            return LaurentElement._from_support(
+                ring, self._pair_products(other, window),
+                pole_bound, window, pole_set, clipped=True,
+            )
+        if not len(a) or not len(b):
+            keys, vecs = a[:0], self.vecs[:0]
+        elif len(b) == 1:
+            keys, vecs = _row_times(ring, a, self.vecs, b[0], other.vecs[0], window)
+        elif len(a) == 1:
+            keys, vecs = _row_times(ring, b, other.vecs, a[0], self.vecs[0], window)
+        else:
+            keys, vecs = ring.coeffs.mul_rows(
+                a, self.vecs, b, other.vecs, window
+            )
+        return LaurentElement._from_rows(
+            ring, keys, vecs, pole_bound, window, pole_set, clipped=True
         )
 
     def _pair_products(self, other, window):
@@ -356,31 +452,18 @@ class LaurentElement:
                     support.pop(e, None)
                 else:
                     support[e] = s
+        check_keys(list(support))
         return support
 
     def _one_row(self):
         """(X-exponents, t-exponents, vector) of an element with one term
         whose coefficient is one row (one t-monomial, no denominator);
         None for any other element."""
-        if len(self.support) == 1:
-            ((e, c),) = self.support.items()
-            if not c.den and len(c.num) == 1:
-                ((m, v),) = c.num.items()
-                return e, m, v
+        if self.keys is not None and len(self.keys) == 1:
+            key = self.keys[0].tolist()
+            nv = self.ring.nvars
+            return tuple(key[:nv]), tuple(key[nv:]), self.vecs[0].copy()
         return None
-
-    def _rows(self):
-        """Every term of every coefficient as a row: key (X-exponents,
-        t-exponents) and its finite-part vector (see coeff.mul_rows); None
-        when a coefficient has a denominator."""
-        keys, vecs = [], []
-        for e, c in self.support.items():
-            if c.den:
-                return None
-            for t, v in c.num.items():
-                keys.append(e + t)
-                vecs.append(v)
-        return np.array(keys, dtype=np.int64), np.array(vecs)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -402,40 +485,54 @@ class LaurentElement:
     def monomial_shift(self, shift):
         """Multiply by the monomial X^shift; the window shifts exactly."""
         shift = tuple(shift)
+        ring = self.ring
+        nv = ring.nvars
+        window = tuple(
+            w + s if w != INF else INF for w, s in zip(self.window, shift)
+        )
+        keys = self.keys
+        if keys is not None and len(keys):
+            mins = [x + s for x, s in zip(keys[:, :nv].min(axis=0).tolist(), shift)]
+            maxs = [x + s for x, s in zip(keys[:, :nv].max(axis=0).tolist(), shift)]
+            if -EXP_BOUND <= min(mins) and max(maxs) <= EXP_BOUND:
+                pole_set = self.pole_set | frozenset(
+                    i for i, v in enumerate(mins) if v < 0
+                )
+                if any(shift):
+                    keys = keys + (shift + (0,) * ring.coeffs.total_d)
+                return LaurentElement._from_rows(
+                    ring, keys, self.vecs, max(0, -min(mins)), window, pole_set
+                )
+        # a fraction coefficient, no term, or an exponent past EXP_BOUND,
+        # which the public constructor refuses unless the window drops it
         support = {
             tuple(e + s for e, s in zip(exps, shift)): c
             for exps, c in self.support.items()
         }
-        window = tuple(
-            w + s if w != INF else INF for w, s in zip(self.window, shift)
-        )
-        mins = [
-            min((e[i] for e in support), default=0) for i in range(self.ring.nvars)
-        ]
+        mins = [min((e[i] for e in support), default=0) for i in range(nv)]
         pole_bound = max(0, -min(mins, default=0))
         pole_set = self.pole_set | frozenset(
             i for i, v in enumerate(mins) if v < 0
         )
-        return LaurentElement(self.ring, support, pole_bound, window, pole_set)
+        return LaurentElement(ring, support, pole_bound, window, pole_set)
 
     def scale(self, c):
         """Multiply by a coefficient-ring element (window unchanged: the
         constant is exact and has no pole)."""
-        ring = self.ring
         if isinstance(c, int):
-            c = ring.coeffs.from_int(c)
-        constant = LaurentElement._trusted(
-            ring, {} if c.is_zero() else {(0,) * ring.nvars: c}, 0,
-            (INF,) * ring.nvars, frozenset(),
-        )
-        return self._times(constant)
+            c = self.ring.coeffs.from_int(c)
+        return self._times(self.ring.constant(c))
 
     def truncated(self, window):
         if isinstance(window, int):
             window = (window,) * self.ring.nvars
         window = tuple(min(a, b) for a, b in zip(self.window, window))
-        return LaurentElement._trusted(
-            self.ring, self.support, self.pole_bound, window, self.pole_set
+        if self.keys is None:
+            return LaurentElement._from_support(
+                self.ring, dict(self.support), self.pole_bound, window, self.pole_set
+            )
+        return LaurentElement._from_rows(
+            self.ring, self.keys, self.vecs, self.pole_bound, window, self.pole_set
         )
 
     def eq_window(self, other):
@@ -462,7 +559,8 @@ class LaurentElement:
 
         The window is that of ``self - other``: the least window clipped to
         the caps less the larger pole bound.  The coefficients are compared
-        term by term, without forming the difference.
+        without forming the difference: two row blocks by their rows on the
+        window (both in block order), and otherwise term by term.
         """
         self._require_ring(other)
         window = _clip(
@@ -470,6 +568,10 @@ class LaurentElement:
             tuple(map(min, self.window, other.window)),
             max(self.pole_bound, other.pole_bound),
         )
+        if self.keys is not None and other.keys is not None:
+            (ka, va), (kb, vb) = _rows_in(self, window), _rows_in(other, window)
+            equal = len(ka) == len(kb) and (ka == kb).all() and (va == vb).all()
+            return bool(equal), window
         finite = [(i, w) for i, w in enumerate(window) if w != INF]
         theirs = other.support
         count = 0
@@ -497,18 +599,22 @@ class LaurentElement:
         """Minimal X_alpha-exponent over the support; +inf for exact zero."""
         if isinstance(alpha, str):
             alpha = self.ring.var_index[alpha]
-        if not self.support:
+        if not self._has_terms():
             if self.is_exact():
                 return INF
             raise PrecisionError("valuation not certified at this precision")
-        return min(e[alpha] for e in self.support)
+        if self.keys is None:
+            return min(e[alpha] for e in self.support)
+        return min(self.keys[:, alpha].tolist())
 
     def val_total(self):
-        if not self.support:
+        if not self._has_terms():
             if self.is_exact():
                 return INF
             raise PrecisionError("valuation not certified at this precision")
-        return min(sum(e) for e in self.support)
+        if self.keys is None:
+            return min(sum(e) for e in self.support)
+        return int(self.keys[:, : self.ring.nvars].sum(axis=1).min())
 
     def unit_verdict(self):
         """'unit', 'nonunit', or 'undecided' (insufficient precision/form)."""
@@ -537,7 +643,7 @@ class LaurentElement:
             else:
                 bj = alg.from_fdelta(dec.idempotents[j])
                 aj = self.scale(bj)
-            if not aj.support:
+            if not aj._has_terms():
                 return ("nonunit" if self.is_exact() else "undecided"), None
             minimal = _minimal_corners(aj.support)
             if len(minimal) > 1:
@@ -583,7 +689,7 @@ class LaurentElement:
             unit_part = ring.constant(bj)
             shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
             g = unit_part - shifted  # all terms have total degree >= 1
-            if not g.support:
+            if not g._has_terms():
                 inv = unit_part.truncated(shifted.window)
             else:
                 g = g.truncated(ring.precision)
@@ -599,7 +705,7 @@ class LaurentElement:
     # -- repr ----------------------------------------------------------
 
     def __repr__(self):
-        if not self.support:
+        if not self._has_terms():
             return "0" + ("" if self.is_exact() else f" + O(window {self.window})")
         parts = []
         for e in sorted(self.support, key=lambda t: (sum(t), t)):
@@ -614,47 +720,98 @@ class LaurentElement:
         return " + ".join(parts[:8]) + (" + ..." if len(parts) > 8 else "") + tail
 
 
-def _support_from_rows(ring, keys, vecs):
-    """The series support {X-exponents: CoeffElement} of mul_rows' output;
-    each vector is copied, so the support holds no view of the batch."""
+def _no_rows(ring):
+    """An empty row block of ``ring``."""
+    return (
+        np.empty((0, ring.nvars + ring.coeffs.total_d), dtype=np.int64),
+        np.empty((0, ring.coeffs.N), dtype=np.int64),
+    )
+
+
+def _rows_in(x, window):
+    """The rows of the row block ``x`` within ``window``; they all lie in
+    x's own window."""
+    if window == x.window:
+        return x.keys, x.vecs
+    return rows_within(x.keys, x.vecs, window)
+
+
+def _add_row(p, keys, vecs, key0, v0):
+    """The block ``(keys, vecs)`` plus the one row (key0, v0), whose key is
+    not past both ends: added to the row of the same key, or inserted."""
+    rows, row = keys.tolist(), key0[0].tolist()
+    i = bisect.bisect_left(rows, row)
+    if rows[i] != row:
+        return (
+            np.concatenate((keys[:i], key0, keys[i:])),
+            np.concatenate((vecs[:i], v0, vecs[i:])),
+        )
+    v = (vecs[i] + v0[0]) % p
+    if not v.any():
+        return (
+            np.concatenate((keys[:i], keys[i + 1:])),
+            np.concatenate((vecs[:i], vecs[i + 1:])),
+        )
+    vecs = vecs.copy()
+    vecs[i] = v
+    return keys, vecs
+
+
+def _pack(ring, terms):
+    """The row block of ``terms``, (X-exponents, numerator) pairs with
+    distinct X-exponents: one row per t-monomial of each numerator, sorted
+    into block order."""
+    keys = [e + m for e, num in terms for m in num]
+    if not keys:
+        return _no_rows(ring)
+    keys = np.array(keys, dtype=np.int64)
+    vecs = np.array([v for _, num in terms for v in num.values()], dtype=np.int64)
+    if len(keys) > 1:
+        order = np.lexsort(keys.T[::-1])
+        keys, vecs = keys[order], vecs[order]
+    return keys, vecs
+
+
+def _support_view(ring, keys, vecs):
+    """The read-only dict {X-exponents: CoeffElement} of a row block; each
+    vector is copied, so the dict holds no view of the block."""
     nv = ring.nvars
     nums = {}
-    for key, vec in zip(key_rows(keys), vecs):
+    for key, vec in zip(keys.tolist(), vecs):
         e = tuple(key[:nv])
         num = nums.get(e)
         if num is None:
             nums[e] = num = {}
         num[tuple(key[nv:])] = vec.copy()
-    return {e: CoeffElement(ring.coeffs, num, ()) for e, num in nums.items()}
-
-
-def _row_times(ring, support, e0, m0, v0, window):
-    """The support ``support`` times the one-row term v0 t^m0 X^e0, cut to
-    ``window``: each exponent shifts by e0, and every coefficient goes
-    through ``CoefficientAlgebra.row_times`` in one batch, keeping its
-    denominator.  Shifted exponents past EXP_BOUND that survive the cut are
-    refused."""
-    finite = [(i, w) for i, w in enumerate(window) if w != INF]
-    shift = any(e0)
-    keys, coeffs = [], []
-    for e, c in support.items():
-        if shift:
-            e = tuple(map(operator.add, e, e0))
-        if finite and any(e[i] > w for i, w in finite):
-            continue
-        keys.append(e)
-        coeffs.append(c)
-    if not keys:
-        return {}
-    if shift:
-        check_keys(keys)
     alg = ring.coeffs
-    nums = alg.row_times([c.num for c in coeffs], m0, v0)
-    return {
-        e: CoeffElement(alg, num, c.den)
-        for e, c, num in zip(keys, coeffs, nums)
-        if num
-    }
+    return MappingProxyType({e: CoeffElement(alg, num, ()) for e, num in nums.items()})
+
+
+def _add_terms(support, terms):
+    """Add the (X-exponents, CoeffElement) pairs ``terms`` into the dict
+    ``support``, dropping the sums that vanish; returns ``support``."""
+    for e, c in terms:
+        cur = support.get(e)
+        s = c if cur is None else cur + c
+        if s.is_zero():
+            support.pop(e, None)
+        else:
+            support[e] = s
+    return support
+
+
+def _row_times(ring, keys, vecs, key0, v0, window):
+    """The rows ``(keys, vecs)`` times the one row (key0, v0), cut to
+    ``window``: every key shifts by key0, which keeps the block order, and
+    the vectors go through ``CoefficientAlgebra.row_times`` in one batch;
+    zero products are dropped.  Shifted keys past EXP_BOUND that survive
+    the cut are refused."""
+    if key0.any():
+        keys, vecs = rows_within(keys + key0, vecs, window)
+        check_block(keys)
+    else:
+        keys, vecs = rows_within(keys, vecs, window)
+    return nonzero_rows(keys, ring.coeffs.row_times(vecs, v0))
 
 
 def _minimal_corners(supp):
@@ -698,14 +855,19 @@ def binomial_power(ring: SeriesRingSpec, alpha, c: PAdicUnitApprox) -> LaurentEl
             f"digit precision M={c.M} insufficient for window {N} (need {needed})"
         )
     digits = c.digits()
-    support = {}
+    exps, coeffs = [], []
     for k in range(1, N + 1):
         coeff = _lucas_binomial(digits, k, p)
         if coeff:
-            exps = tuple(k if i == alpha else 0 for i in range(ring.nvars))
-            support[exps] = ring.coeffs.from_int(coeff)
+            exps.append(k)
+            coeffs.append(coeff)
+    # one row per k: X_alpha^k with the constant C(c, k), in block order
+    keys = np.zeros((len(exps), ring.nvars + ring.coeffs.total_d), dtype=np.int64)
+    keys[:, alpha] = exps
+    vecs = np.zeros((len(exps), ring.coeffs.N), dtype=np.int64)
+    vecs[:, 0] = coeffs
     window = tuple(N if i == alpha else INF for i in range(ring.nvars))
-    return LaurentElement(ring, support, 0, window)
+    return LaurentElement._from_rows(ring, keys, vecs, 0, window, frozenset())
 
 
 def _lucas_binomial(digits, k, p):
@@ -728,19 +890,38 @@ def _lucas_binomial(digits, k, p):
 
 def laurent_to_json(a: LaurentElement) -> dict:
     ring = a.ring
+    if a.keys is None:
+        terms = [
+            {
+                "exps": {ring.variables[i]: int(e) for i, e in enumerate(exps) if e},
+                "coeff": element_to_json(c),
+            }
+            for exps, c in sorted(a.support.items())
+        ]
+    else:
+        # block order is sorted by X-exponents, then t-exponents: the order
+        # of the terms and of each numerator
+        nv, tsymbols = ring.nvars, ring.coeffs.tsymbols
+        terms, last = [], None
+        for key, vec in zip(a.keys.tolist(), a.vecs.tolist()):
+            if key[:nv] != last:
+                last = key[:nv]
+                numerator = []
+                terms.append({
+                    "exps": {v: e for v, e in zip(ring.variables, last) if e},
+                    "coeff": {"numerator": numerator, "denominator": []},
+                })
+            numerator.append({
+                "fdelta_coeff": vec,
+                "monomial": {s: m for s, m in zip(tsymbols, key[nv:]) if m},
+            })
     return {
         "pole_bound": a.pole_bound,
         "window": {
             v: (None if a.window[i] == INF else int(a.window[i]))
             for i, v in enumerate(ring.variables)
         },
-        "terms": [
-            {
-                "exps": {ring.variables[i]: int(e) for i, e in enumerate(exps) if e},
-                "coeff": element_to_json(c),
-            }
-            for exps, c in sorted(a.support.items())
-        ],
+        "terms": terms,
     }
 
 

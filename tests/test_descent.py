@@ -514,6 +514,39 @@ def test_kummer_principal_root_is_one_power(monkeypatch):
     assert (w**4).eq_window(q)
     assert w.support[(0, 0)].constant_fd().tolist() == [1, 0, 0, 0]
 
+
+def test_principal_root_and_powers_make_no_product_by_one(monkeypatch):
+    # the same q has constant term 1, so r0 = 1 and neither scale by it is
+    # made; a power starts at its exponent's top bit, so x^5 is x^2, x^4,
+    # x^4 * x and no product has 1 as an operand
+    ring = ring_for(5, [2, 2], prec=8)
+    a = ring.one() + ring.var(1)
+    q = make_phi(ring, 1).apply(a) * a.invert()
+    one = ring.one()
+    calls, by_one = [], []
+    times = LaurentElement._times
+
+    def counted(x, y):
+        calls.append(1)
+        by_one.extend(z for z in (x, y) if z.eq_window(one) and z.is_exact())
+        return times(x, y)
+
+    monkeypatch.setattr(LaurentElement, "_times", counted)
+    w, note = _eth_root(ring, q, 4)
+    assert note is None and len(calls) == 8 and not by_one
+    calls.clear()
+    x = ring.one() + ring.var(0) + ring.var(1)
+    x5 = x**5
+    assert len(calls) == 3 and not by_one
+    monkeypatch.undo()
+    assert (w**4).eq_window(q)
+    expected = ring.one()
+    for _ in range(5):
+        expected = expected * x
+    assert x5.meta() == expected.meta() and x5.eq_window(expected)
+    assert x**0 == ring.one() and x**1 is x
+
+
 def test_kummer_root_of_a_monomial_quotient():
     # a = X_b at p = 5, degrees (1, 1), e = 2: phi_b(a)/a = X_b^4 and
     # phi_a(a)/a^5 = X_b^-4 have no constant term; their least monomials

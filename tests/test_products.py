@@ -399,3 +399,152 @@ def test_one_row_products_make_no_kernel_call(monkeypatch):
     assert not calls
     dense * dense
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the row block of a series and its support view
+
+
+def _same(x, y):
+    """Equal stored terms (rows, or the dict form's JSON) and metadata."""
+    from phigamma.series import laurent_to_json
+
+    if x.meta() != y.meta() or laurent_to_json(x) != laurent_to_json(y):
+        return False
+    if x.keys is None or y.keys is None:
+        return x.keys is None and y.keys is None
+    return np.array_equal(x.keys, y.keys) and np.array_equal(x.vecs, y.vecs)
+
+
+def _assert_block_form(x):
+    """Unique rows in block order (sorted by key), nonzero reduced vectors,
+    X-exponents within the window."""
+    ring = x.ring
+    rows = x.keys.tolist()
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+    assert x.keys.dtype == x.vecs.dtype == np.int64
+    assert x.vecs.shape == (len(rows), ring.coeffs.N)
+    assert all(v.any() for v in x.vecs)
+    assert ((0 <= x.vecs) & (x.vecs < ring.coeffs.p)).all()
+    assert all(within((tuple(k[: ring.nvars]), ()), x.window) for k in rows)
+
+
+@st.composite
+def element_and_rebuild(draw):
+    """A drawn series (t-rows, poles, finite and infinite windows), for a
+    ring with transcendentals optionally times a fraction 1/(1 + t), with
+    its rebuild from ``support`` through the public constructor."""
+    ring, a, b = draw(ring_and_pair())
+    alg = ring.coeffs
+    if alg.tsymbols and draw(st.booleans()):
+        a = a.scale((alg.one() + alg.t(alg.tsymbols[0])).try_invert())
+    rebuilt = LaurentElement(ring, dict(a.support), a.pole_bound, a.window, a.pole_set)
+    return ring, a, rebuilt, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_and_rebuild())
+def test_row_block_matches_its_support_view(data):
+    from phigamma import PAdicUnitApprox, make_delta, make_gamma, make_phi
+
+    ring, a, rebuilt, b = data
+    alg = ring.coeffs
+    fraction = any(c.den for c in a.support.values())
+    assert (a.keys is None) == fraction  # only a fraction keeps the dict form
+    assert _same(a, rebuilt)
+    if not fraction:
+        _assert_block_form(a)
+        assert a.support is a.support  # built once, on first read
+        with pytest.raises(TypeError):
+            a.support[(0,) * ring.nvars] = alg.one()  # read-only
+    c = next(iter(b.support.values()), alg.one())
+    shift = (1,) + (-1,) * (ring.nvars - 1)
+    c_digits = PAdicUnitApprox(alg.p, 1 + alg.p, 3)
+    endos = [make_phi(ring, 0), make_gamma(ring, ring.nvars - 1, c_digits)]
+    if alg.tsymbols:
+        endos.append(make_delta(ring, alg.t_owner[0], (1,)))
+    for x in (a, rebuilt):
+        results = [
+            x + b, b + x, x - b, x * b, b * x, x.scale(c), -x,
+            x.monomial_shift(shift), x.truncated(2),
+        ] + [endo.apply(x) for endo in endos]
+        for y in results:
+            if y.keys is not None:
+                _assert_block_form(y)
+        if x is a:
+            first = results
+        else:
+            assert all(_same(y, z) for y, z in zip(first, results))
+    assert a.eq_window(rebuilt) and rebuilt.eq_window(a)
+    assert a.eq_window(b) == rebuilt.eq_window(b) == (not (a - b)._has_terms())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(ring_and_pair(), ring_and_row_pair()),
+    st.sampled_from(["other", "negated", "doubled", "own row"]),
+    st.integers(1, 6),
+)
+def test_sums_match_a_term_by_term_reference(data, addend, k):
+    # the block sums: disjoint blocks, a row inserted or added, cancellation
+    # and the general grouping, against per-row sums mod p
+    from phigamma import CoeffElement
+    from phigamma.series import sum_meta
+
+    ring, a, b = data
+    alg = ring.coeffs
+    if addend == "negated":
+        b = -a
+    elif addend == "doubled":
+        b = a.scale(2)
+    elif addend == "own row" and a.support:
+        e, c = next(iter(a.support.items()))
+        m, v = next(iter(c.num.items()))
+        k = k % alg.p or 1  # k = p - 1 cancels the row
+        b = ring.monomial(e, CoeffElement(alg, {m: v * k % alg.p}, ()))
+    for s in (a + b, b + a):
+        window, pole_bound, pole_set = sum_meta(ring, [a.meta(), b.meta()])
+        assert s.meta() == (window, pole_bound, pole_set)
+        ref = {}
+        for x in (a, b):
+            for key, v in flat(x).items():
+                old = ref.get(key, (0,) * alg.N)
+                ref[key] = tuple((y + z) % alg.p for y, z in zip(old, v))
+        assert flat(s) == {
+            key: v for key, v in ref.items() if any(v) and within(key, window)
+        }
+        _assert_block_form(s)
+
+
+def test_packed_operations_build_no_coefficient_until_read(monkeypatch):
+    # a product, a sum, a one-row product and a gamma apply of dense series
+    # without fractions read and write row blocks only: no CoeffElement is
+    # built until a support is read, and then once per term
+    from phigamma import CoeffElement, PAdicUnitApprox, make_gamma
+
+    ring = ring_for(3, [2, 1], ds=[1, 0], prec=6)
+    alg = ring.coeffs
+    t = alg.t(alg.tsymbols[0])
+    dense = [
+        sum(
+            (ring.monomial((i, j), alg.gen(0) * (k + 1) + t ** ((i + j + k) % 2))
+             for i in range(3) for j in range(3)),
+            ring.zero(),
+        ).truncated((4, 5))
+        for k in range(2)
+    ]
+    built = []
+    init = CoeffElement.__init__
+    monkeypatch.setattr(
+        CoeffElement, "__init__",
+        lambda self, *args: built.append(1) or init(self, *args),
+    )
+    a, b = dense
+    gamma = make_gamma(ring, 0, PAdicUnitApprox(3, 4, 3))
+    outputs = [a * b, a + b, a - b, a * ring.var(1), gamma.apply(a), gamma.apply(a * b)]
+    assert not built
+    for out in outputs:
+        assert out.keys is not None and len(out.keys) > 1
+        support = out.support
+        assert len(built) == len(support) and out.support is support
+        built.clear()
