@@ -371,7 +371,7 @@ def _collect(pieces):
     for t, c in pieces:
         cur = out.get(t)
         out[t] = c if cur is None else cur + c
-    return {t: c for t, c in out.items() if c.support}
+    return {t: c for t, c in out.items() if c._has_terms()}
 
 
 class ExtensionTower:
@@ -465,7 +465,7 @@ class ExtensionTower:
 
     def eq_window(self, a, b):
         diff = self.add(a, {t: -c for t, c in b.items()})
-        return all(not c.support for c in diff.values())
+        return all(not c._has_terms() for c in diff.values())
 
     def galois_invariants_report(self):
         """Per-layer invariance systems; the tower invariants equal the base
@@ -780,8 +780,14 @@ def _agrees(sys, a, b):
         if not sys.quotient:
             return x
         qa, qr = sys.quotient
-        support = {e: c for e, c in x.support.items() if e[qa] < qr}
-        return LaurentElement(x.ring, support, x.pole_bound, x.window, x.pole_set)
+        if x.keys is None:
+            support = {e: c for e, c in x.support.items() if e[qa] < qr}
+            return LaurentElement(x.ring, support, x.pole_bound, x.window, x.pole_set)
+        keep = x.keys[:, qa] < qr
+        return LaurentElement._from_rows(
+            x.ring, x.keys[keep], x.vecs[keep], x.pole_bound, x.window,
+            x.pole_set, clipped=True,
+        )
 
     return all(
         clip(x.get(t, zero)).eq_window(clip(y.get(t, zero)))

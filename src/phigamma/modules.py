@@ -413,10 +413,8 @@ class Lattice:
             raise ValueError(
                 "lattice requires exactly rank many generators (square case)"
             )
-        for g in gens:
-            for x in g:
-                if x.support and min(min(e) for e in x.support) < 0:
-                    raise ValueError("lattice generators must be pole-free")
+        if any(_has_pole(x) for g in gens for x in g):
+            raise ValueError("lattice generators must be pole-free")
         self.generators = gens
         self.gmatrix = [[gens[j][i] for j in range(len(gens))]
                         for i in range(module.rank)]
@@ -442,14 +440,20 @@ class Lattice:
         can be asserted.
         """
         c = mat_vec(self.ginv, x)
-        negative = any(
-            ci.support and min(min(e) for e in ci.support) < 0 for ci in c
-        )
-        if negative:
+        if any(_has_pole(ci) for ci in c):
             return "no", c
         if all(ci.is_exact() or ci.pole_bound == 0 for ci in c):
             return "yes", c
         return "undecided", c
+
+
+def _has_pole(x):
+    """Whether some term of the series x has a negative X-exponent: its
+    least exponent, read from the row block (from the terms in the dict
+    form, which always has one)."""
+    if x.keys is None:
+        return min(min(e) for e in x.support) < 0
+    return len(x.keys) > 0 and int(x.keys[:, : x.ring.nvars].min()) < 0
 
 
 def phi_s_denominator(D: PhiGammaModule, M: Lattice):
@@ -526,11 +530,12 @@ def _orbit_membership(D, M, x, plusplus):
     cert = dplusplus_certified_lattice(D, M)
     target = cert["lattice"] if plusplus else M
     y = list(x)
-    for _ in range(ORBIT_STEPS + 1):
+    for step in range(ORBIT_STEPS + 1):
         verdict, _ = target.membership(y)
         if verdict == "yes":
             return "yes_certified"
-        y = D.act_phi_s(y)
+        if step < ORBIT_STEPS:
+            y = D.act_phi_s(y)
     return "unknown"
 
 

@@ -628,13 +628,37 @@ class LaurentElement:
         except NotInvertibleError:
             return None
 
+    def _monomial(self):
+        """(X-exponents, vector) of a term c X^v whose coefficient c is one
+        t-free row; None for any other element."""
+        row = self._one_row()
+        if row is None or any(row[1]):
+            return None
+        return row[0], row[2]
+
     def _corner_analysis(self):
         """``(verdict, parts)``: for a unit, one ``(b_j, a_j, v, w)`` per
-        idempotent b_j (1 for one component), with the component
-        a_j = b_j * self (self for one component), its unique minimal
-        corner v, and w the inverse of the corner coefficient within the
-        component, from its one unit analysis; otherwise parts is None."""
+        part, with the part's idempotent b_j, its component a_j = b_j * self,
+        its unique minimal corner v, and w the inverse of the corner
+        coefficient within the component; otherwise parts is None.
+
+        A term c X^v with a t-free coefficient c that ``fd_inv`` inverts is
+        one part (1, self, v, c^-1), found without the idempotent split: c
+        is a unit in every component, so each b_j c X^v keeps v as its
+        unique minimal corner.  Every other element (a zero divisor c
+        included) has one part per idempotent b_j (1 for one component,
+        where a_j is self), and w comes from the corner's one unit analysis.
+        """
         alg = self.ring.coeffs
+        mono = self._monomial()
+        if mono is not None:
+            v, c = mono
+            try:
+                w = alg.fd_inv(c)
+            except NotInvertibleError:
+                pass  # some component of c is not a unit: decided below
+            else:
+                return "unit", [(alg.one(), self, v, alg.from_fdelta(w))]
         dec = alg.idempotent_decomposition()
         parts = []
         for j in range(dec.ell):
@@ -665,12 +689,18 @@ class LaurentElement:
     def invert(self):
         """The inverse, exact on the returned window.
 
-        Per idempotent component b_j, ``_corner_analysis`` gives a_j =
-        w^-1 X^v (b_j - g) with g of positive total degree, so the inverse
-        there is w X^-v (b_j + g + g^2 + ...) (g = b_j g).  Only terms of
-        total degree <= D = sum of the precision caps fit in a window, so
-        the series is cut after g^D and taken by doubling: (b_j + g)(b_j +
-        g^2)(b_j + g^4)... = sum of g^i for i < 2^k, in
+        A unit term c X^v with a t-free coefficient, window W, inverts in
+        closed form: the one row c^-1 X^-v, with the window, pole bound and
+        pole set of ``ring.constant(c^-1).truncated(W - v)
+        .monomial_shift(-v)``, which are those the series below folds when
+        g has no term.
+
+        Otherwise, per idempotent component b_j, ``_corner_analysis`` gives
+        a_j = w^-1 X^v (b_j - g) with g of positive total degree, so the
+        inverse there is w X^-v (b_j + g + g^2 + ...) (g = b_j g).  Only
+        terms of total degree <= D = sum of the precision caps fit in a
+        window, so the series is cut after g^D and taken by doubling: (b_j +
+        g)(b_j + g^2)(b_j + g^4)... = sum of g^i for i < 2^k, in
         2 ceil(log2(D + 1)) - 2 products, stopping once 2^k > D.  Every
         product and sum folds only g's window (cut to the caps), pole bound
         0 and pole set with the exact metadata of b_j, so the window, pole
@@ -683,6 +713,17 @@ class LaurentElement:
         if verdict != "unit":
             raise NotInvertibleError(f"element is {verdict}")
         ring = self.ring
+        if self._monomial() is not None:
+            ((_, _, v, w),) = parts
+            window = tuple(
+                x if x == INF else min(x - e, cap) - e
+                for x, e, cap in zip(self.window, v, ring.precision)
+            )
+            key = np.array([[-e for e in v] + [0] * ring.coeffs.total_d], dtype=np.int64)
+            return LaurentElement._from_rows(
+                ring, key, w.constant_fd()[None, :], max(0, *v), window,
+                frozenset(i for i, e in enumerate(v) if e > 0),
+            )
         D = sum(ring.precision)
         total = None
         for bj, aj, v, w in parts:

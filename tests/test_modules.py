@@ -23,6 +23,7 @@ from phigamma import (
 )
 from phigamma.endos import identity_endo
 from phigamma.modules import (
+    ORBIT_STEPS,
     PhiGammaModule,
     _delta_power_matrix,
     base_change,
@@ -228,6 +229,20 @@ def test_dplusplus_certificate_is_kept_per_module():
     assert dplusplus_certified_lattice(D, M) is cert
     other = module_from_json(ring, module_to_json(D))
     assert dplusplus_certified_lattice(other, M) is not cert
+
+
+def test_unknown_orbit_makes_orbit_steps_phi_s_steps(monkeypatch):
+    # ORBIT_STEPS + 1 membership tests need ORBIT_STEPS steps between them
+    ring, D = load_module("module_cyclotomic_p2.json")
+    M = Lattice(D, mat_identity(ring, D.rank))
+    dplusplus_certified_lattice(D, M)  # kept on M, so not stepped again
+    calls = []
+    step = PhiGammaModule.act_phi_s
+    monkeypatch.setattr(
+        PhiGammaModule, "act_phi_s", lambda self, v: calls.append(1) or step(self, v)
+    )
+    assert in_dplusplus(D, M, [ring.monomial((-1,))]) == "unknown"
+    assert len(calls) == ORBIT_STEPS
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from conftest import alg_for, ring_for
 from phigamma import (
     INF,
     CoeffElement,
+    CoefficientAlgebra,
     LaurentElement,
     PAdicUnitApprox,
     PrecisionError,
@@ -115,23 +116,31 @@ def test_invert_random_units(p, degs):
         assert (u * inv).eq_window(ring.one())
 
 
+def minimal_corners(supp):
+    """The exponents of ``supp`` with no other exponent below them."""
+    return [
+        e for e in supp
+        if not any(f != e and all(x <= y for x, y in zip(f, e)) for f in supp)
+    ]
+
+
 def reference_invert(u):
     """The inverse by the term-by-term geometric series: per idempotent
-    component, D + 1 steps inv <- b_j - h inv, D the sum of the caps."""
-    verdict, parts = u._corner_analysis()
-    assert verdict == "unit"
+    component b_j, its own unique minimal corner v and corner inverse w,
+    then D + 1 steps inv <- b_j - h inv, D the sum of the caps."""
     ring = u.ring
     alg = ring.coeffs
     dec = alg.idempotent_decomposition()
     total = ring.zero()
-    for j, (_, _, v, _) in enumerate(parts):
+    for j in range(dec.ell):
         if dec.ell == 1:
             aj, unit_part = u, ring.one()
-            w = aj.support[v].invert()
         else:
             bj = alg.from_fdelta(dec.idempotents[j])
             aj, unit_part = u.scale(bj), ring.constant(bj)
-            w = (aj.support[v] + (alg.one() - bj)).invert()
+        (v,) = minimal_corners(aj.support)
+        c = aj.support[v]
+        w = (c if dec.ell == 1 else c + (alg.one() - bj)).invert()
         shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
         h = shifted - unit_part
         if not h.support:
@@ -142,6 +151,63 @@ def reference_invert(u):
             for _ in range(sum(ring.precision) + 1):
                 inv = unit_part - h * inv
         total = total + inv.scale(w).monomial_shift(tuple(-x for x in v))
+    return total
+
+
+def per_component_analysis(u):
+    """(verdict, parts) as ``_corner_analysis`` gave them for every element
+    before one-row units had a closed form: per idempotent component, its
+    unique minimal corner and that coefficient's unit analysis."""
+    alg = u.ring.coeffs
+    dec = alg.idempotent_decomposition()
+    parts = []
+    for j in range(dec.ell):
+        if dec.ell == 1:
+            bj, aj = alg.one(), u
+        else:
+            bj = alg.from_fdelta(dec.idempotents[j])
+            aj = u.scale(bj)
+        if not aj._has_terms():
+            return ("nonunit" if u.is_exact() else "undecided"), None
+        minimal = minimal_corners(aj.support)
+        if len(minimal) > 1:
+            return "nonunit", None
+        (v,) = minimal
+        c = aj.support[v]
+        if dec.ell > 1:
+            c = c + (alg.one() - bj)
+        verdict, w = c._unit_analysis()
+        if verdict == "zero_divisor_or_zero":
+            return "nonunit", None
+        if verdict == "undecided":
+            return "undecided", None
+        parts.append((bj, aj, v, w))
+    return "unit", parts
+
+
+def per_component_invert(u):
+    """The inverse as ``invert`` took it for every element before one-row
+    units had a closed form: the doubled geometric series per component."""
+    verdict, parts = per_component_analysis(u)
+    assert verdict == "unit"
+    ring = u.ring
+    D = sum(ring.precision)
+    total = None
+    for bj, aj, v, w in parts:
+        unit_part = ring.constant(bj)
+        shifted = aj.monomial_shift(tuple(-x for x in v)).scale(w)
+        g = unit_part - shifted
+        if not g._has_terms():
+            inv = unit_part.truncated(shifted.window)
+        else:
+            g = g.truncated(ring.precision)
+            inv, pw, reach = unit_part + g, g, 2
+            while reach <= D:
+                pw = pw * pw
+                inv = inv + inv * pw
+                reach *= 2
+        inv = inv.scale(w).monomial_shift(tuple(-x for x in v))
+        total = inv if total is None else total + inv
     return total
 
 
@@ -198,6 +264,72 @@ def test_invert_matches_the_geometric_series(u):
     assert all(c == want.support[e] for e, c in got.support.items())
     if not any(c.den for el in (got, want) for c in el.support.values()):
         assert laurent_to_json(got) == laurent_to_json(want)
+
+
+@st.composite
+def one_row_elements(draw):
+    """One term c X^v: c is one row, a finite-part vector (an idempotent
+    zero divisor on an l > 1 algebra, or drawn, zero included) times a
+    t-monomial; v in [-2, 2]^n; the pole bound and pole set are at least the
+    term's; and the window, finite or not, may drop the term."""
+    p, degs, ds, cap = draw(st.sampled_from(INVERT_RINGS))
+    alg = invert_algebra(p, degs, ds)
+    n = len(degs)
+    ring = SeriesRingSpec(alg, tuple(draw(st.integers(1, cap)) for _ in range(n)))
+    dec = alg.idempotent_decomposition()
+    if dec.ell > 1 and draw(st.booleans()):
+        vec = dec.idempotents[draw(st.integers(0, dec.ell - 1))]
+    else:
+        vec = draw(st.lists(st.integers(0, p - 1), min_size=alg.N, max_size=alg.N))
+    vec = np.array(vec, dtype=np.int64) % p
+    mono = tuple(draw(st.sampled_from([0, 0, 1])) for _ in range(alg.total_d))
+    c = CoeffElement(alg, {mono: vec} if vec.any() else {}, ())
+    v = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    pole_bound = max(0, -min(v)) + draw(st.integers(0, 2))
+    pole_set = {i for i, e in enumerate(v) if e < 0} | draw(st.sets(st.integers(0, n - 1)))
+    window = tuple(draw(st.sampled_from([INF, e - 1, e, e + 1, e + 3])) for e in v)
+    return LaurentElement(ring, {v: c}, pole_bound, window, pole_set)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=one_row_elements())
+def test_one_row_units_match_the_per_component_path(u):
+    verdict, _ = per_component_analysis(u)
+    assert u.unit_verdict() == verdict
+    got = u.try_invert()
+    assert (got is None) == (verdict != "unit")
+    if got is None:
+        return
+    want = per_component_invert(u)
+    assert got.meta() == want.meta()
+    if want.keys is None:
+        assert got.keys is None
+        assert got.support.keys() == want.support.keys()
+    else:
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.vecs, want.vecs)
+    assert laurent_to_json(got) == laurent_to_json(want)
+
+
+def test_one_row_units_skip_the_idempotent_split(monkeypatch):
+    # GF(4) (x) GF(4) has l = 2 components; a unit c X^v with t-free c is
+    # decided and inverted without splitting it, a two-row unit is not
+    calls = []
+    split = CoefficientAlgebra._compute_idempotents
+    monkeypatch.setattr(
+        CoefficientAlgebra, "_compute_idempotents",
+        lambda alg: calls.append(1) or split(alg),
+    )
+    ring = ring_for(2, [2, 2], prec=5)
+    u = ring.monomial((-1, 2), ring.coeffs.gen(0))
+    assert u.unit_verdict() == "unit"
+    inv = u.try_invert()
+    assert (u * inv).eq_window(ring.one())
+    assert not calls
+    two_rows = ring.one() + ring.var(0)
+    assert two_rows.try_invert() is not None
+    assert len(calls) == 1
+    assert ring.coeffs.idempotent_decomposition().ell == 2
 
 
 @pytest.mark.parametrize("caps", [(1, 1), (2, 2), (1, 3), (3, 5), (1, 1, 2)])
